@@ -59,9 +59,11 @@ bool IoNet::wait(sim::Context& ctx, OpHandle handle) {
   DEEP_EXPECT(it != pending_.end(), "IoNet::wait: unknown operation");
   DEEP_EXPECT(it->second.waiter == &ctx.process(),
               "IoNet::wait: operation belongs to another process");
-  while (!it->second.done) {
-    ctx.process().set_block_note("io.wait");
-    ctx.suspend();
+  if (!it->second.done) {
+    sim::BlockNoteScope note(
+        ctx.process(),
+        {[](const sim::BlockNote&) { return std::string("io.wait"); }});
+    while (!it->second.done) ctx.suspend();
   }
   const bool ok = it->second.ok;
   m_op_ns_.record((ctx.now() - it->second.issued_at).ps / 1000);

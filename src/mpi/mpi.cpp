@@ -99,17 +99,36 @@ std::string describe(const Request& r) {
                               "(link down or gateway retries exhausted)");
 }
 
+// Block-note formatters (sim::BlockNote): run only when a deadlock report is
+// built.  `ref` is the blocking request, alive for the whole wait.
+std::string note_wait(const sim::BlockNote& n) {
+  return "wait(" + describe(*static_cast<const Request*>(n.ref)) + ")";
+}
+
+std::string note_wait_any(const sim::BlockNote& n) {
+  return "wait_any(" + std::to_string(n.a) + " requests, first: " +
+         describe(*static_cast<const Request*>(n.ref)) + ")";
+}
+
+std::string note_probe(const sim::BlockNote& n) {
+  return "probe(src=" + std::to_string(n.a) + ", tag=" + std::to_string(n.b) +
+         ")";
+}
+
+std::string note_fence(const sim::BlockNote& n) {
+  return "fence: waiting for remote completion of " + std::to_string(n.a) +
+         " one-sided op(s)";
+}
+
 }  // namespace
 
 void Mpi::wait(const RequestPtr& request) {
   DEEP_EXPECT(request != nullptr, "wait: null request");
   if (!request->done) {
-    sim::Process& self = ctx_->process();
-    self.set_block_note("wait(" + describe(*request) + ")");
+    sim::BlockNoteScope note(ctx_->process(), {&note_wait, request.get()});
     const sim::TimePoint blocked_at = ctx_->now();
     while (!request->done) ctx_->suspend();
     record_wait(blocked_at);
-    self.set_block_note({});
   }
   if (request->error != ErrCode::Success) throw_request_error(*request);
 }
@@ -125,29 +144,29 @@ void Mpi::wait_all(std::span<const RequestPtr> requests) {
 
 std::size_t Mpi::wait_any(std::span<const RequestPtr> requests) {
   DEEP_EXPECT(!requests.empty(), "wait_any: empty request list");
-  sim::Process& self = ctx_->process();
-  bool noted = false;
-  sim::TimePoint blocked_at{};
-  for (;;) {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
+  // Index of the first completed request, or requests.size().
+  auto first_done = [&] {
+    std::size_t i = 0;
+    for (; i < requests.size(); ++i) {
       DEEP_EXPECT(requests[i] != nullptr, "wait_any: null request");
-      if (!requests[i]->done) continue;
-      if (noted) {
-        record_wait(blocked_at);
-        self.set_block_note({});
-      }
-      if (requests[i]->error != ErrCode::Success)
-        throw_request_error(*requests[i]);
-      return i;
+      if (requests[i]->done) break;
     }
-    if (!noted) {
-      self.set_block_note("wait_any(" + std::to_string(requests.size()) +
-                          " requests, first: " + describe(*requests[0]) + ")");
-      noted = true;
-      blocked_at = ctx_->now();
-    }
-    ctx_->suspend();
+    return i;
+  };
+  std::size_t i = first_done();
+  if (i == requests.size()) {
+    sim::BlockNoteScope note(
+        ctx_->process(),
+        {&note_wait_any, requests[0].get(),
+         static_cast<std::int64_t>(requests.size())});
+    const sim::TimePoint blocked_at = ctx_->now();
+    do {
+      ctx_->suspend();
+    } while ((i = first_done()) == requests.size());
+    record_wait(blocked_at);
   }
+  if (requests[i]->error != ErrCode::Success) throw_request_error(*requests[i]);
+  return i;
 }
 
 std::optional<Status> Mpi::iprobe(const Comm& comm, Rank src, Tag tag) {
@@ -155,19 +174,11 @@ std::optional<Status> Mpi::iprobe(const Comm& comm, Rank src, Tag tag) {
 }
 
 Status Mpi::probe(const Comm& comm, Rank src, Tag tag) {
-  sim::Process& self = ctx_->process();
-  bool noted = false;
+  if (auto st = iprobe(comm, src, tag)) return *st;
+  sim::BlockNoteScope note(ctx_->process(), {&note_probe, nullptr, src, tag});
   for (;;) {
-    if (auto st = iprobe(comm, src, tag)) {
-      if (noted) self.set_block_note({});
-      return *st;
-    }
-    if (!noted) {
-      self.set_block_note("probe(src=" + std::to_string(src) +
-                          ", tag=" + std::to_string(tag) + ")");
-      noted = true;
-    }
     ctx_->suspend();
+    if (auto st = iprobe(comm, src, tag)) return *st;
   }
 }
 
@@ -343,12 +354,10 @@ void Mpi::fence(const Window& window) {
   DEEP_EXPECT(window.valid(), "fence: null window");
   // Local puts must be remotely complete...
   if (endpoint_->outstanding_puts() > 0) {
-    sim::Process& self = ctx_->process();
-    self.set_block_note("fence: waiting for remote completion of " +
-                        std::to_string(endpoint_->outstanding_puts()) +
-                        " one-sided op(s)");
+    sim::BlockNoteScope note(
+        ctx_->process(),
+        {&note_fence, nullptr, endpoint_->outstanding_puts()});
     while (endpoint_->outstanding_puts() > 0) ctx_->suspend();
-    self.set_block_note({});
   }
   // A lost Put/Accum (or its ack) counts as a failed remote completion.
   const std::int64_t lost = endpoint_->take_put_failures();

@@ -42,6 +42,16 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, Reject& reject) {
     reject = {"bad_spec", "", "spec must be a JSON object"};
     return std::nullopt;
   }
+  // The canonical form names every key this parser reads.  Any other key is
+  // refused, so a typo or a retired field never silently runs a different
+  // job; members() is name-ordered, so the reported key is deterministic.
+  static const Json kKnownKeys = JobSpec{}.to_json();
+  for (const auto& [key, value] : j.members()) {
+    if (kKnownKeys.find(key) == nullptr) {
+      reject = {"bad_spec", key, "unknown spec key '" + key + "'"};
+      return std::nullopt;
+    }
+  }
   JobSpec spec;
   if (const Json* w = j.find("workload")) {
     if (!w->is_string()) {
@@ -65,8 +75,6 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, Reject& reject) {
   if (!read_int(j, "steps", spec.steps, reject)) return std::nullopt;
   if (!read_int(j, "partitions", spec.partitions, reject)) return std::nullopt;
   if (!read_int(j, "workers", spec.workers, reject)) return std::nullopt;
-  if (!read_int(j, "speculation", spec.speculation, reject))
-    return std::nullopt;
   if (!read_bool(j, "metrics", spec.metrics, reject)) return std::nullopt;
   if (const Json* s = j.find("seed")) {
     if (!s->is_int()) {
@@ -207,11 +215,6 @@ bool JobSpec::validate(Reject& reject) const {
               "more partitions than booster nodes plus one"};
     return false;
   }
-  if (speculation < -1) {
-    reject = {"bad_spec", "speculation",
-              "speculation must be >= 0 or -1 (auto)"};
-    return false;
-  }
   if (faults.drop_probability < 0.0 || faults.drop_probability > 1.0) {
     reject = {"bad_spec", "faults.drop_probability",
               "drop probability must be in [0, 1]"};
@@ -264,7 +267,6 @@ Json JobSpec::to_json() const {
   j.set("steps", steps);
   j.set("partitions", partitions);
   j.set("workers", workers);
-  j.set("speculation", speculation);
   j.set("metrics", metrics);
   j.set("seed", static_cast<std::int64_t>(seed));
   Json f = Json::object();
@@ -303,8 +305,6 @@ sys::SystemConfig JobSpec::to_config() const {
   config.gateways = gateways;
   config.partitions = partitions;
   config.workers = workers;
-  config.speculation = speculation == -1 ? sim::Engine::kAutoSpeculation
-                                         : speculation;
   config.metrics.enabled = metrics;
   if (faults.active()) {
     config.faults.seed = seed * 0x9E3779B97F4A7C15ULL + 1;

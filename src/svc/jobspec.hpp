@@ -76,7 +76,6 @@ struct JobSpec {
   int steps = 3;
   int partitions = 1;
   int workers = 1;
-  int speculation = 0;  // -1 = auto
   bool metrics = true;
   std::uint64_t seed = 0;  // folded into the fault spec and the cache key
   SpecFaults faults;

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "mpi_rig.hpp"
@@ -252,13 +254,50 @@ TEST(P2P, UserNegativeTagRejected) {
                deep::util::UsageError);
 }
 
-TEST(P2P, DeadlockIsDetected) {
+/// Runs `fn` on two ranks that must deadlock; returns the report text.
+std::string deadlock_report(const std::function<void(dm::Mpi&)>& fn) {
   MpiRig rig(2);
-  EXPECT_THROW(rig.run([](dm::Mpi& mpi) {
-                 std::vector<int> v(1);
-                 mpi.recv<int>(mpi.world(), 1 - mpi.rank(), 0, mspan(v));
-               }),
-               deep::util::SimError);
+  try {
+    rig.run(fn);
+  } catch (const deep::util::SimError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected a deadlock";
+  return {};
+}
+
+TEST(P2P, DeadlockIsDetected) {
+  const std::string report = deadlock_report([](dm::Mpi& mpi) {
+    std::vector<int> v(1);
+    mpi.recv<int>(mpi.world(), 1 - mpi.rank(), 0, mspan(v));
+  });
+  EXPECT_NE(report.find("\n  rank0 (id=0, waiting): blocked on "
+                        "wait(irecv peer=1 tag=0)\n"),
+            std::string::npos)
+      << report;
+}
+
+// The deadlock report names what each rank blocks on; the notes are
+// formatted only when the report is built.
+TEST(P2P, DeadlockReportNamesWaitAnyAndProbe) {
+  const std::string report = deadlock_report([](dm::Mpi& mpi) {
+    std::vector<int> a(1), b(1);
+    if (mpi.rank() == 0) {
+      const std::vector<dm::RequestPtr> reqs{
+          mpi.irecv<int>(mpi.world(), 1, 3, mspan(a)),
+          mpi.irecv<int>(mpi.world(), 1, 4, mspan(b))};
+      mpi.wait_any(reqs);
+    } else {
+      mpi.probe(mpi.world(), 0, 5);
+    }
+  });
+  EXPECT_NE(report.find("with 2 process(es) still blocked:\n"
+                        "  rank0 (id=0, waiting): blocked on wait_any(2 "
+                        "requests, first: irecv peer=1 tag=3)\n"
+                        "  rank1 (id=1, waiting): blocked on "
+                        "probe(src=0, tag=5)"),
+            std::string::npos)
+      << report;
 }
 
 // ---------------------------------------------------------------------------

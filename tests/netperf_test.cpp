@@ -4,7 +4,8 @@
 //    of per-hop dimension-ordered routing (wrap-around, ties, dims == 1),
 //  * the packed link-index aliasing guard,
 //  * and the headline claim itself: a warmed-up fabric send/deliver cycle
-//    performs ZERO heap allocations, verified by replacing operator new.
+//    — and an MPI eager isend+irecv+wait cycle on top of it — performs ZERO
+//    heap allocations, verified by replacing operator new.
 //
 // This binary carries the ctest label `perf` (see scripts/run_chaos.sh,
 // which runs it under ASan as well).
@@ -23,6 +24,8 @@
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "util/error.hpp"
+
+#include "mpi_rig.hpp"
 
 namespace dc = deep::cbp;
 namespace dm = deep::mpi;
@@ -370,6 +373,42 @@ TEST(ZeroAllocation, WarmCbpBridgePathDoesNotAllocate) {
 
 TEST(ZeroAllocation, WarmCbpBridgePathWithMetricsDoesNotAllocate) {
   expect_warm_cbp_path_alloc_free(/*with_metrics=*/true);
+}
+
+// Rank 0 isend+wait, rank 1 irecv+wait of one small eager message.  A wait
+// blocks in every cycle, so the cycle covers request pooling, the block
+// note and the wake path.  Both rank fibers run on this thread, so the tally
+// between rank 0's two marks covers kCounted whole cycles of both sides.
+void expect_warm_mpi_eager_cycle_alloc_free(bool with_metrics) {
+  constexpr int kWarm = 50, kCounted = 200;
+  dob::Registry reg;
+  deep::testing::MpiRig rig(2);
+  if (with_metrics) rig.engine().set_metrics(&reg);
+  std::size_t before = 0, after = 0;
+  rig.run([&](dm::Mpi& mpi) {
+    std::vector<std::byte> buf(64, std::byte{1});
+    for (int i = 0; i < kWarm + kCounted; ++i) {
+      if (mpi.rank() == 0) {
+        if (i == kWarm) before = g_allocs;
+        mpi.wait(mpi.isend_bytes(mpi.world(), 1, 0, buf));
+      } else {
+        mpi.wait(mpi.irecv_bytes(mpi.world(), 0, 0, buf));
+      }
+    }
+    if (mpi.rank() == 0) after = g_allocs;
+  });
+  EXPECT_GT(after, 0u);
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state MPI eager cycle allocated"
+      << (with_metrics ? " (with metrics attached)" : "");
+}
+
+TEST(ZeroAllocation, WarmMpiEagerCycleDoesNotAllocate) {
+  expect_warm_mpi_eager_cycle_alloc_free(/*with_metrics=*/false);
+}
+
+TEST(ZeroAllocation, WarmMpiEagerCycleWithMetricsDoesNotAllocate) {
+  expect_warm_mpi_eager_cycle_alloc_free(/*with_metrics=*/true);
 }
 
 }  // namespace

@@ -286,7 +286,10 @@ TEST(ServiceRejects, DeterministicAndLeakFree) {
       {R"({"booster":0})", "bad_topology"},
       {R"({"procs":9})", "bad_topology"},
       {R"({"partitions":99})", "bad_topology"},
-      {R"({"speculation":-2})", "bad_spec"},
+      // Unknown keys: a retired engine field (spelled with a JSON \u
+      // escape) and a typo of "booster".
+      {R"({"spec\u0075lation":4})", "bad_spec"},
+      {R"({"boosters":8})", "bad_spec"},
       {R"({"partitions":2,"faults":{"drop_probability":0.5}})",
        "faults_with_partitions"},
       {R"({"workload":)", "bad_json"},
@@ -306,6 +309,18 @@ TEST(ServiceRejects, DeterministicAndLeakFree) {
     const std::string wire = first.to_json().dump();
     EXPECT_EQ(wire.find("report"), std::string::npos) << wire;
     EXPECT_EQ(wire.find("metrics"), std::string::npos) << wire;
+  }
+}
+
+// An unknown top-level key is refused, naming the key, instead of being
+// silently ignored (which would run a different job than the one asked for).
+TEST(ServiceRejects, UnknownKeyNamesTheField) {
+  for (const char* key : {"boosters", "steps_", "Workload"}) {
+    dsv::Reject reject;
+    const std::string text = std::string(R"({")") + key + R"(":1})";
+    EXPECT_FALSE(dsv::JobSpec::from_text(text, reject).has_value()) << key;
+    EXPECT_EQ(reject.code, "bad_spec") << key;
+    EXPECT_EQ(reject.field, key);
   }
 }
 
