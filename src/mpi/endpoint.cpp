@@ -416,45 +416,37 @@ void Endpoint::on_message(net::Message&& msg) {
   DEEP_ASSERT(header->dst_ep == id_, "Endpoint: misrouted message");
 
   // Restore per-flow ordering (the CBP round-robin path may reorder).
-  std::uint64_t& expected = seq_in_[header->src_ep];
-  if (header->seq != expected) {
-    DEEP_ASSERT(header->seq > expected, "Endpoint: duplicate sequence number");
-    reorder_[header->src_ep].emplace(
-        header->seq, UnexpectedMsg{*header, std::move(msg.payload)});
+  // Records are never erased, so `flow` stays valid across the handlers.
+  InFlow& flow = flows_in_[header->src_ep];
+  if (header->seq != flow.expected) {
+    DEEP_ASSERT(header->seq > flow.expected,
+                "Endpoint: duplicate sequence number");
+    flow.parked.emplace(header->seq,
+                        UnexpectedMsg{*header, std::move(msg.payload)});
     ++parked_total_;
     ++lifetime_parked_;
     return;
   }
-  ++expected;
-  const EpId src_ep = header->src_ep;
+  ++flow.expected;
   process_in_order(std::move(*header), std::move(msg.payload));
-  drain_reorder(src_ep);
+  drain_reorder(flow);
 }
 
-void Endpoint::drain_reorder(EpId src_ep) {
+void Endpoint::drain_reorder(InFlow& flow) {
   // Consume directly-following parked messages and lost-sequence holes until
   // the flow blocks on a number that is still genuinely in flight.
-  for (;;) {
-    std::uint64_t& exp = seq_in_[src_ep];
-    auto it = reorder_.find(src_ep);
-    if (it != reorder_.end() && !it->second.empty() &&
-        it->second.begin()->first == exp) {
-      UnexpectedMsg next = std::move(it->second.begin()->second);
-      it->second.erase(it->second.begin());
+  while (!flow.parked.empty() || !flow.lost.empty()) {
+    auto next = flow.parked.begin();
+    if (next != flow.parked.end() && next->first == flow.expected) {
+      UnexpectedMsg msg = std::move(next->second);
+      flow.parked.erase(next);
       --parked_total_;
-      if (it->second.empty()) reorder_.erase(it);
-      ++exp;
-      process_in_order(std::move(next.header), std::move(next.payload));
+      ++flow.expected;
+      process_in_order(std::move(msg.header), std::move(msg.payload));
       continue;
     }
-    auto lost = lost_seqs_.find(src_ep);
-    if (lost != lost_seqs_.end() && lost->second.contains(exp)) {
-      lost->second.erase(exp);
-      if (lost->second.empty()) lost_seqs_.erase(lost);
-      ++exp;
-      continue;
-    }
-    return;
+    if (flow.lost.erase(flow.expected) == 0) return;
+    ++flow.expected;
   }
 }
 
@@ -463,14 +455,14 @@ void Endpoint::drain_reorder(EpId src_ep) {
 // ---------------------------------------------------------------------------
 
 void Endpoint::note_lost_seq(EpId src_ep, std::uint64_t seq) {
-  std::uint64_t& expected = seq_in_[src_ep];
-  if (seq == expected) {
-    ++expected;
-    drain_reorder(src_ep);
+  InFlow& flow = flows_in_[src_ep];
+  if (seq == flow.expected) {
+    ++flow.expected;
+    drain_reorder(flow);
     return;
   }
-  DEEP_ASSERT(seq > expected, "Endpoint: lost sequence already consumed");
-  lost_seqs_[src_ep].insert(seq);
+  DEEP_ASSERT(seq > flow.expected, "Endpoint: lost sequence already consumed");
+  flow.lost.insert(seq);
 }
 
 void Endpoint::fail_recv(const WireHeader& header) {

@@ -153,13 +153,19 @@ class Endpoint {
     RequestPtr request;
   };
 
+  struct InFlow {  // inbound sequencing state of one peer's flow
+    std::uint64_t expected = 0;                    // next in-order seq
+    std::map<std::uint64_t, UnexpectedMsg> parked;  // arrived ahead of it
+    std::set<std::uint64_t> lost;                  // holes: never arriving
+  };
+
   static bool matches(const PostedRecv& r, const WireHeader& h) {
     return r.context == h.context && (r.src == kAnySource || r.src == h.src_rank) &&
            (r.tag == kAnyTag || r.tag == h.tag);
   }
 
   void process_in_order(WireHeader&& header, net::Payload&& payload);
-  void drain_reorder(EpId src_ep);
+  void drain_reorder(InFlow& flow);
   void complete_error(const RequestPtr& request, ErrCode code,
                       Rank source = kAnySource, Tag tag = kAnyTag);
   void handle_eager_or_rts(WireHeader&& header, net::Payload&& payload);
@@ -193,16 +199,15 @@ class Endpoint {
   std::unordered_map<std::uint64_t, PendingGet> pending_gets_;
   std::int64_t outstanding_puts_ = 0;
 
-  // Flow sequencing: outbound counters and inbound reorder buffers.
+  // Flow sequencing: outbound counters and one inbound record per peer, so
+  // an arriving message costs a single lookup.
   std::unordered_map<EpId, std::uint64_t> seq_out_;
-  std::unordered_map<EpId, std::uint64_t> seq_in_;
-  std::unordered_map<EpId, std::map<std::uint64_t, UnexpectedMsg>> reorder_;
+  std::unordered_map<EpId, InFlow> flows_in_;
   std::size_t parked_total_ = 0;
   std::size_t lifetime_parked_ = 0;
 
-  // Loss recovery: per-flow holes left by lost messages, headers of lost
-  // sends awaiting a matching post_recv, failed remote completions.
-  std::unordered_map<EpId, std::set<std::uint64_t>> lost_seqs_;
+  // Loss recovery: headers of lost sends awaiting a matching post_recv,
+  // failed remote completions.
   std::deque<WireHeader> dead_letters_;
   std::int64_t put_failures_ = 0;
 

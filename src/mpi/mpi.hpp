@@ -336,14 +336,20 @@ void Mpi::bcast(const Comm& comm, Rank root, std::span<T> data,
                : CollAlgo::BinomialTree;
   }
   if (algo == CollAlgo::ScatterAllgather) {
-    // van de Geijn: scatter the (padded) blocks, then ring-allgather them.
-    const std::size_t block =
-        (data.size() + static_cast<std::size_t>(nranks) - 1) /
-        static_cast<std::size_t>(nranks);
-    std::vector<T> padded(block * static_cast<std::size_t>(nranks));
+    // van de Geijn: scatter the blocks, then ring-allgather them.  When the
+    // blocks tile `data` exactly, both phases work in place; only a ragged
+    // size needs a padded copy (same message sizes either way).
+    const auto n = static_cast<std::size_t>(nranks);
+    const std::size_t block = (data.size() + n - 1) / n;
+    std::vector<T> mine(block);
+    if (block * n == data.size()) {
+      scatter<T>(comm, root, data, mine);
+      allgather<T>(comm, mine, data);
+      return;
+    }
+    std::vector<T> padded(block * n);
     if (comm.rank() == root)
       std::copy(data.begin(), data.end(), padded.begin());
-    std::vector<T> mine(block);
     scatter<T>(comm, root, padded, mine);
     allgather<T>(comm, mine, padded);
     if (comm.rank() != root)
@@ -657,6 +663,7 @@ void Mpi::allgather(const Comm& comm, std::span<const T> send,
             recv.subspan(static_cast<std::size_t>(me) * block, block).begin());
   const Rank right = (me + 1) % n;
   const Rank left = (me - 1 + n) % n;
+  if (n == 1) return;
   std::vector<RequestPtr> recvs;
   recvs.reserve(static_cast<std::size_t>(n - 1));
   for (int k = 0; k < n - 1; ++k) {
@@ -664,16 +671,25 @@ void Mpi::allgather(const Comm& comm, std::span<const T> send,
     auto rblk = recv.subspan(static_cast<std::size_t>(recv_origin) * block, block);
     recvs.push_back(irecv_raw(ctx, left, tag - k - 1, std::as_writable_bytes(rblk)));
   }
+  // Requests are released as soon as they are finished with: a waited
+  // receive is done and has raised any error it had, and an eager send is
+  // done with success at injection, so waiting on either again would change
+  // nothing.  Only the last receive and unfinished sends are waited below.
   std::vector<RequestPtr> sends;
-  sends.reserve(static_cast<std::size_t>(n - 1));
   for (int k = 0; k < n - 1; ++k) {
-    if (k > 0) wait(recvs[static_cast<std::size_t>(k - 1)]);  // data for this step
+    if (k > 0) {  // data for this step
+      RequestPtr& prev = recvs[static_cast<std::size_t>(k - 1)];
+      wait(prev);
+      prev.reset();
+    }
     const Rank send_origin = (me - k + n) % n;
     auto sblk = recv.subspan(static_cast<std::size_t>(send_origin) * block, block);
-    sends.push_back(isend_raw(comm.addr_of(right), ctx, me, tag - k - 1,
-                              std::as_bytes(std::span<const T>(sblk))));
+    RequestPtr send = isend_raw(comm.addr_of(right), ctx, me, tag - k - 1,
+                                std::as_bytes(std::span<const T>(sblk)));
+    if (!send->done || send->error != ErrCode::Success)
+      sends.push_back(std::move(send));
   }
-  wait_all(recvs);
+  wait(recvs.back());
   wait_all(sends);
 }
 

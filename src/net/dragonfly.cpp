@@ -41,12 +41,13 @@ DragonflyFabric::DragonflyFabric(sim::Engine& engine, std::string name,
 }
 
 Nic& DragonflyFabric::attach(hw::NodeId node) {
-  DEEP_EXPECT(attached_count_ < capacity_,
+  DEEP_EXPECT(attached_count() < static_cast<std::size_t>(capacity_),
               "DragonflyFabric: fabric is full (groups * routers_per_group * "
               "nodes_per_router nodes)");
   Nic& nic = Fabric::attach(node);
-  const int router = attached_count_++ / params_.nodes_per_router;
-  routers_[node] = router;
+  const int router =
+      static_cast<int>(attached_count() - 1) / params_.nodes_per_router;
+  node_slot(routers_, node, -1) = router;
   auto& rep = router_rep_[static_cast<std::size_t>(router)];
   if (rep == hw::kInvalidNode || node < rep) rep = node;
   link_free_.try_emplace(node_tx(node));
@@ -56,9 +57,9 @@ Nic& DragonflyFabric::attach(hw::NodeId node) {
 }
 
 int DragonflyFabric::router_of(hw::NodeId node) const {
-  auto it = routers_.find(node);
-  DEEP_EXPECT(it != routers_.end(), "DragonflyFabric: node not attached");
-  return it->second;
+  const int router = node_entry(routers_, node, -1);
+  DEEP_EXPECT(router >= 0, "DragonflyFabric: node not attached");
+  return router;
 }
 
 hw::NodeId DragonflyFabric::representative(int router) const {
@@ -250,9 +251,9 @@ int DragonflyFabric::hops(hw::NodeId src, hw::NodeId dst) const {
 
 std::vector<std::pair<hw::NodeId, hw::NodeId>> DragonflyFabric::topology_edges()
     const {
-  std::vector<std::pair<hw::NodeId, int>> nodes(routers_.begin(),
-                                                routers_.end());
-  std::sort(nodes.begin(), nodes.end());
+  std::vector<std::pair<hw::NodeId, int>> nodes;
+  for (const hw::NodeId node : attached_ids())
+    nodes.emplace_back(node, router_of(node));
   std::vector<std::pair<hw::NodeId, hw::NodeId>> edges;
   // Same-router pairs: the tightest locality.
   for (std::size_t i = 0; i < nodes.size(); ++i)
@@ -295,10 +296,10 @@ void DragonflyFabric::refresh_partitions() const {
   // Routers present per partition (small: total_routers_ entries).
   std::vector<std::vector<std::uint32_t>> router_parts(
       static_cast<std::size_t>(total_routers_));
-  for (const auto& [node, router] : routers_) {
+  for (const hw::NodeId node : attached_ids()) {
     const std::uint32_t p = partition_of(node);
     if (p < nparts) part_present_[p] = 1;
-    auto& list = router_parts[static_cast<std::size_t>(router)];
+    auto& list = router_parts[static_cast<std::size_t>(router_of(node))];
     if (std::find(list.begin(), list.end(), p) == list.end()) list.push_back(p);
   }
   for (int r1 = 0; r1 < total_routers_; ++r1) {

@@ -187,12 +187,11 @@ class DragonflyFabric final : public Fabric {
   DragonflyParams params_;
   int total_routers_ = 0;
   int capacity_ = 0;
-  std::unordered_map<hw::NodeId, int> routers_;    // node -> router index
-  std::vector<hw::NodeId> router_rep_;             // router -> lowest node
+  std::vector<int> routers_;            // node -> router (-1: not attached)
+  std::vector<hw::NodeId> router_rep_;  // router -> lowest node
   // Link booking: every router-level slot is created in the constructor and
   // node slots at attach, so the partitioned send path never rehashes.
   std::unordered_map<std::int64_t, sim::TimePoint> link_free_;
-  int attached_count_ = 0;
   // Per-lane Valiant counters (summed on read; lanes never share a window).
   mutable std::vector<std::int64_t> valiant_lane_;
   // Partition geometry (lazy, guarded like TorusFabric's).

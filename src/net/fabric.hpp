@@ -17,7 +17,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -46,6 +45,28 @@ struct FabricStats {
   }
 };
 
+// Per-node tables are vectors indexed by hw::NodeId (ids are dense from 0),
+// so the per-message lookups are array loads instead of hash probes.
+
+/// `node`'s entry in a node-indexed table, or `missing` when the id is
+/// negative or beyond the table.
+template <typename T>
+T node_entry(const std::vector<T>& table, hw::NodeId node, const T& missing) {
+  return node >= 0 && static_cast<std::size_t>(node) < table.size()
+             ? table[static_cast<std::size_t>(node)]
+             : missing;
+}
+
+/// The slot of `node` (>= 0) in a node-indexed table, growing the table with
+/// `fill` as needed.  Attach-time only: send paths never grow a table, so
+/// partitioned workers never race on a reallocation.
+template <typename T>
+T& node_slot(std::vector<T>& table, hw::NodeId node, const T& fill) {
+  const auto i = static_cast<std::size_t>(node);
+  if (i >= table.size()) table.resize(i + 1, fill);
+  return table[i];
+}
+
 class Fabric {
  public:
   explicit Fabric(sim::Engine& engine, std::string name)
@@ -67,19 +88,27 @@ class Fabric {
   sim::Engine& engine() const { return *engine_; }
 
   /// Attaches a node; returns its NIC on this fabric (stable reference).
+  /// Node ids are dense from 0: per-node tables are vectors indexed by id.
   virtual Nic& attach(hw::NodeId node) {
-    auto [it, inserted] = nics_.try_emplace(node, nullptr);
-    DEEP_EXPECT(inserted, "Fabric::attach: node already attached");
-    it->second = std::make_unique<Nic>(node);
-    return *it->second;
+    DEEP_EXPECT(node >= 0, "Fabric::attach: negative node id");
+    DEEP_EXPECT(!attached(node), "Fabric::attach: node already attached");
+    const auto i = static_cast<std::size_t>(node);
+    if (i >= nics_.size()) nics_.resize(i + 1);
+    nics_[i] = std::make_unique<Nic>(node);
+    ++attached_count_;
+    return *nics_[i];
   }
 
-  bool attached(hw::NodeId node) const { return nics_.contains(node); }
+  std::size_t attached_count() const { return attached_count_; }
+
+  bool attached(hw::NodeId node) const {
+    return node >= 0 && static_cast<std::size_t>(node) < nics_.size() &&
+           nics_[static_cast<std::size_t>(node)] != nullptr;
+  }
 
   Nic& nic(hw::NodeId node) {
-    auto it = nics_.find(node);
-    DEEP_EXPECT(it != nics_.end(), "Fabric::nic: node not attached");
-    return *it->second;
+    DEEP_EXPECT(attached(node), "Fabric::nic: node not attached");
+    return *nics_[static_cast<std::size_t>(node)];
   }
 
   /// Injects a message; the fabric delivers it to the destination NIC after
@@ -128,30 +157,29 @@ class Fabric {
     DEEP_EXPECT(attached(node), "Fabric::set_node_partition: not attached");
     DEEP_EXPECT(p < engine_->partitions(),
                 "Fabric::set_node_partition: no such partition");
-    auto [it, inserted] = node_partition_.try_emplace(node, p);
-    if (!inserted) it->second = p;
+    std::uint32_t& slot = node_slot(node_partition_, node, kUnassigned);
+    if (slot == kUnassigned) ++assigned_count_;
+    slot = p;
     on_node_partition(node, p);
   }
 
   /// The partition `node`'s NIC events run on (0 unless assigned).
   std::uint32_t partition_of(hw::NodeId node) const {
-    auto it = node_partition_.find(node);
-    return it == node_partition_.end() ? 0 : it->second;
+    const std::uint32_t p = node_entry(node_partition_, node, kUnassigned);
+    return p == kUnassigned ? 0 : p;
   }
 
   /// True once any node has an explicit partition assignment.
-  bool partitioned() const { return !node_partition_.empty(); }
+  bool partitioned() const { return assigned_count_ != 0; }
 
   /// True when at least one attached node lives on partition `p`.
   bool has_partition_nodes(std::uint32_t p) const {
-    std::size_t assigned = 0;
-    for (const auto& [node, part] : node_partition_) {
-      (void)node;
-      if (part == p) return true;
-      ++assigned;
-    }
+    if (p != kUnassigned &&
+        std::find(node_partition_.begin(), node_partition_.end(), p) !=
+            node_partition_.end())
+      return true;
     // Unassigned nodes default to partition 0.
-    return p == 0 && assigned < nics_.size();
+    return p == 0 && assigned_count_ < attached_count_;
   }
 
   // -- topology introspection (for auto-partitioning) -------------------------
@@ -159,12 +187,9 @@ class Fabric {
   /// Attached node ids in ascending order.
   std::vector<hw::NodeId> attached_ids() const {
     std::vector<hw::NodeId> ids;
-    ids.reserve(nics_.size());
-    for (const auto& [node, nic] : nics_) {
-      (void)nic;
-      ids.push_back(node);
-    }
-    std::sort(ids.begin(), ids.end());
+    ids.reserve(attached_count_);
+    for (std::size_t node = 0; node < nics_.size(); ++node)
+      if (nics_[node]) ids.push_back(static_cast<hw::NodeId>(node));
     return ids;
   }
 
@@ -282,8 +307,8 @@ class Fabric {
     // Park the message in a pooled slot: the capture is {Nic*, PooledMessage}
     // (16 bytes), so the event fits the engine's inline buffer and the whole
     // schedule-deliver round trip allocates nothing in steady state.
-    auto* nic = nics_.at(msg.dst).get();
-    if (node_partition_.empty()) {
+    Nic* nic = &this->nic(msg.dst);
+    if (!partitioned()) {
       // Unpartitioned fabric: historical path, bit-identical scheduling.
       engine_->schedule_at(at,
                            [nic, m = PooledMessage(std::move(msg))]() mutable {
@@ -299,10 +324,12 @@ class Fabric {
 
   sim::Engine* engine_;
   std::string name_;
-  std::unordered_map<hw::NodeId, std::unique_ptr<Nic>> nics_;
+  std::vector<std::unique_ptr<Nic>> nics_;  // node -> NIC (null: not attached)
   std::vector<FabricStats> shards_ =
       std::vector<FabricStats>(util::kMaxLanes);  // indexed by execution lane
-  std::unordered_map<hw::NodeId, std::uint32_t> node_partition_;
+  // node -> partition (kUnassigned: default partition 0)
+  static constexpr std::uint32_t kUnassigned = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> node_partition_;
   obs::Counter m_messages_;
   obs::Counter m_bytes_;
   obs::Counter m_dropped_;
@@ -314,6 +341,8 @@ class Fabric {
     return a <= b ? std::pair{a, b} : std::pair{b, a};
   }
 
+  std::size_t attached_count_ = 0;  // non-null entries of nics_
+  std::size_t assigned_count_ = 0;  // non-kUnassigned entries of node_partition_
   std::set<std::pair<hw::NodeId, hw::NodeId>> down_links_;
   DropFn drop_fn_;
   DropHandler drop_handler_;

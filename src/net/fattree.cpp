@@ -18,8 +18,8 @@ FatTreeFabric::FatTreeFabric(sim::Engine& engine, std::string name,
 
 Nic& FatTreeFabric::attach(hw::NodeId node) {
   Nic& nic = Fabric::attach(node);
-  const int leaf = attached_count_++ / params_.leaf_radix;
-  leaves_[node] = leaf;
+  const int leaf = static_cast<int>(attached_count() - 1) / params_.leaf_radix;
+  node_slot(leaves_, node, -1) = leaf;
   // Pre-create every link slot this node can touch: the partitioned send
   // path must never grow the map (a rehash would race across workers).
   link_free_.try_emplace(node_tx(node));
@@ -33,9 +33,9 @@ Nic& FatTreeFabric::attach(hw::NodeId node) {
 }
 
 int FatTreeFabric::leaf_of(hw::NodeId node) const {
-  auto it = leaves_.find(node);
-  DEEP_EXPECT(it != leaves_.end(), "FatTreeFabric: node not attached");
-  return it->second;
+  const int leaf = node_entry(leaves_, node, -1);
+  DEEP_EXPECT(leaf >= 0, "FatTreeFabric: node not attached");
+  return leaf;
 }
 
 int FatTreeFabric::hops(hw::NodeId src, hw::NodeId dst) const {
@@ -45,8 +45,9 @@ int FatTreeFabric::hops(hw::NodeId src, hw::NodeId dst) const {
 std::vector<std::pair<hw::NodeId, hw::NodeId>> FatTreeFabric::topology_edges()
     const {
   // Same-leaf pairs: the only locality a two-level tree has.
-  std::vector<std::pair<hw::NodeId, int>> nodes(leaves_.begin(), leaves_.end());
-  std::sort(nodes.begin(), nodes.end());
+  std::vector<std::pair<hw::NodeId, int>> nodes;
+  for (const hw::NodeId node : attached_ids())
+    nodes.emplace_back(node, leaf_of(node));
   std::vector<std::pair<hw::NodeId, hw::NodeId>> edges;
   for (std::size_t i = 0; i < nodes.size(); ++i)
     for (std::size_t j = i + 1; j < nodes.size(); ++j)
@@ -57,7 +58,8 @@ std::vector<std::pair<hw::NodeId, hw::NodeId>> FatTreeFabric::topology_edges()
 
 void FatTreeFabric::refresh_partitions() const {
   const int nleaves =
-      (attached_count_ + params_.leaf_radix - 1) / params_.leaf_radix;
+      (static_cast<int>(attached_count()) + params_.leaf_radix - 1) /
+      params_.leaf_radix;
   const std::uint32_t nparts = engine_->partitions();
   leaf_part_.assign(static_cast<std::size_t>(std::max(nleaves, 1)), kMixedLeaf);
   part_present_.assign(nparts, 0);
@@ -65,10 +67,10 @@ void FatTreeFabric::refresh_partitions() const {
   pair_share_leaf_.assign(static_cast<std::size_t>(nparts) * nparts, 0);
   // Per-leaf member partitions (leaves are small: leaf_radix nodes).
   std::vector<std::vector<std::uint32_t>> members(leaf_part_.size());
-  for (const auto& [node, leaf] : leaves_) {
+  for (const hw::NodeId node : attached_ids()) {
     const std::uint32_t p = partition_of(node);
     if (p < nparts) part_present_[p] = 1;
-    members[leaf].push_back(p);
+    members[static_cast<std::size_t>(leaf_of(node))].push_back(p);
   }
   for (std::size_t leaf = 0; leaf < members.size(); ++leaf) {
     if (members[leaf].empty()) continue;

@@ -101,13 +101,12 @@ class FatTreeFabric final : public Fabric {
   static constexpr std::uint32_t kMixedLeaf = 0xFFFFFFFFu;
 
   FatTreeParams params_;
-  std::unordered_map<hw::NodeId, int> leaves_;
+  std::vector<int> leaves_;  // node -> leaf switch (-1 if not attached)
   // Link booking.  Entries are pre-created at attach so the partitioned
   // send path never rehashes; each entry is only ever touched by the
   // partition owning it (node links by the endpoint's partition, trunks by
   // their leaf's uniform owner).
   std::unordered_map<std::int64_t, sim::TimePoint> link_free_;
-  int attached_count_ = 0;
   // Partition geometry (lazy, guarded like TorusFabric's).
   mutable std::vector<std::uint32_t> leaf_part_;     // leaf -> owner/kMixedLeaf
   mutable std::vector<char> pair_share_leaf_;        // P*P co-located flags

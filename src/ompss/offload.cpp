@@ -94,10 +94,13 @@ void offload_server(mpi::Mpi& mpi, const KernelRegistry& registry) {
               "offload_server: world has no parent intercommunicator");
   const bool leader = mpi.rank() == 0;
 
+  // One input buffer for the server's lifetime: every byte of it is
+  // overwritten by the payload receive or bcast, so a fresh zero-filled
+  // vector per request would only cost host time.
+  std::vector<std::byte> input;
   for (;;) {
     OffloadHeader header;
     mpi::Rank requester = 0;
-    std::vector<std::byte> input;
     if (leader) {
       const auto st = mpi.recv_bytes(*parent, mpi::kAnySource,
                                      kOffloadHeaderTag, header_bytes(header));

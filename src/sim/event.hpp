@@ -169,8 +169,9 @@ class EventQueue {
     r.kind = kind;
     r.proc = proc;
     r.fn = std::move(fn);
-    heap_.push_back(Entry{t, seq, slot});
-    sift_up(heap_.size() - 1);
+    const Entry e{t, seq, slot};
+    heap_.push_back(e);
+    sift_up(heap_.size() - 1, e);
   }
 
   Dispatched pop() {
@@ -203,8 +204,9 @@ class EventQueue {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
   }
 
-  void sift_up(std::size_t i) {
-    const Entry e = heap_[i];
+  // Takes the new entry by value, so push() never reloads the heap slot it
+  // has just stored.
+  void sift_up(std::size_t i, const Entry e) {
     while (i > 0) {
       const std::size_t parent = (i - 1) / 4;
       if (!before(e, heap_[parent])) break;

@@ -230,6 +230,41 @@ TEST(Bridge, SideQueries) {
   EXPECT_THROW(rig.bridge.on_cluster_side(99), deep::util::UsageError);
 }
 
+TEST(Bridge, SideTableEdgeCases) {
+  // Sides live in a table indexed by node id: sparse ids, a second
+  // registration on any side, and unknown or out-of-range ids.
+  ds::Engine eng;
+  dn::CrossbarFabric ib(eng, "ib", {});
+  dn::TorusParams tp;
+  tp.dims = {4, 1, 1};
+  dn::TorusFabric extoll(eng, "extoll", tp);
+  dc::BridgedTransport bridge(eng, ib, extoll);
+  ib.attach(9);
+  bridge.register_cluster_node(9);
+  extoll.attach(2);
+  bridge.register_booster_node(2);
+  ib.attach(5);
+  extoll.attach(5);
+  bridge.register_gateway(5);
+
+  EXPECT_TRUE(bridge.on_cluster_side(9));
+  EXPECT_FALSE(bridge.on_booster_side(9));
+  EXPECT_TRUE(bridge.on_booster_side(2));
+  EXPECT_TRUE(bridge.on_cluster_side(5) && bridge.on_booster_side(5));
+
+  EXPECT_THROW(bridge.register_booster_node(2), deep::util::UsageError);
+  EXPECT_THROW(bridge.register_cluster_node(5), deep::util::UsageError);
+  EXPECT_THROW(bridge.register_booster_node(5), deep::util::UsageError);
+  EXPECT_THROW(bridge.register_gateway(5), deep::util::UsageError);
+  EXPECT_TRUE(bridge.on_cluster_side(5) && bridge.on_booster_side(5));
+
+  for (const deep::hw::NodeId bad : {3, 0, 8, 10, -1, 1 << 20}) {
+    SCOPED_TRACE("node " + std::to_string(bad));
+    EXPECT_THROW(bridge.on_cluster_side(bad), deep::util::SimError);
+    EXPECT_THROW(bridge.on_booster_side(bad), deep::util::SimError);
+  }
+}
+
 TEST(DirectTransport, DeliversOnSingleFabric) {
   ds::Engine eng;
   dn::CrossbarFabric ib(eng, "ib", {});

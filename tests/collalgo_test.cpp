@@ -313,3 +313,94 @@ TEST(Vectorised, AlltoallvValidation) {
       }),
       deep::util::UsageError);
 }
+
+// ---------------------------------------------------------------------------
+// Golden simulated footprints.  Host-side rewrites of these collectives (for
+// example an in-place scatter+allgather, or a ring that releases requests as
+// it goes) must not move one simulated event: the final simulated time, the
+// engine's event count and the fiber switches are pinned to literals
+// recorded before those rewrites, and every element is checked.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct Footprint {
+  std::int64_t final_ps;
+  std::size_t events;
+  std::int64_t fiber_switches;
+};
+
+Footprint sag_bcast_footprint(int n, std::size_t elems) {
+  deep::obs::Registry reg;
+  MpiRig rig(n);
+  rig.engine().set_metrics(&reg);
+  const dm::Rank root = 1 % n;
+  rig.run([&](dm::Mpi& mpi) {
+    std::vector<double> data(elems, -1.0);
+    if (mpi.rank() == root)
+      for (std::size_t i = 0; i < elems; ++i) data[i] = 0.5 * static_cast<double>(i) + 1.0;
+    mpi.bcast<double>(mpi.world(), root, std::span<double>(data),
+                      CollAlgo::ScatterAllgather);
+    for (std::size_t i = 0; i < elems; ++i)
+      ASSERT_EQ(data[i], 0.5 * static_cast<double>(i) + 1.0) << "element " << i;
+  });
+  return {rig.engine().now().ps, rig.engine().events_executed(),
+          reg.value("sim.fiber_switches")};
+}
+
+Footprint ring_allgather_footprint(int n, std::size_t block) {
+  deep::obs::Registry reg;
+  deep::testing::BoosterRig rig(n);
+  rig.engine().set_metrics(&reg);
+  const auto value = [](int r, std::size_t i) {
+    return static_cast<std::int64_t>(r) * 100000 + static_cast<std::int64_t>(i);
+  };
+  rig.run([&](dm::Mpi& mpi) {
+    std::vector<std::int64_t> mine(block);
+    for (std::size_t i = 0; i < block; ++i) mine[i] = value(mpi.rank(), i);
+    std::vector<std::int64_t> all(block * static_cast<std::size_t>(n), -1);
+    mpi.allgather<std::int64_t>(mpi.world(), cspan(mine),
+                                std::span<std::int64_t>(all));
+    for (int r = 0; r < n; ++r)
+      for (std::size_t i = 0; i < block; ++i)
+        ASSERT_EQ(all[static_cast<std::size_t>(r) * block + i], value(r, i))
+            << "rank " << r << " element " << i;
+  });
+  return {rig.engine().now().ps, rig.engine().events_executed(),
+          reg.value("sim.fiber_switches")};
+}
+
+}  // namespace
+
+TEST(CollGolden, ScatterAllgatherBcastFootprints) {
+  struct Case {
+    int n;
+    std::size_t elems;  // exact k*n, ragged k*n+1, or fewer than n
+    Footprint golden;
+  };
+  const Case cases[] = {
+      {3, 96 * 3, {5716007, 33, 25}},
+      {3, 2048 * 3 + 1, {25184675, 59, 35}},
+      {3, 2, {5336006, 33, 25}},
+      {8, 96 * 8, {15909357, 260, 197}},
+      {8, 2048 * 8 + 1, {76468025, 454, 265}},
+      {8, 7, {14896021, 260, 197}},
+      {16, 96 * 16, {32218717, 1036, 781}},
+      {16, 2048 * 16 + 1, {158521385, 1801, 1036}},
+      {16, 5, {30192045, 1036, 781}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " elems=" + std::to_string(c.elems));
+    const Footprint got = sag_bcast_footprint(c.n, c.elems);
+    EXPECT_EQ(got.final_ps, c.golden.final_ps);
+    EXPECT_EQ(got.events, c.golden.events);
+    EXPECT_EQ(got.fiber_switches, c.golden.fiber_switches);
+  }
+}
+
+TEST(CollGolden, RingAllgatherFootprintAt64Ranks) {
+  const Footprint got = ring_allgather_footprint(64, 96);
+  EXPECT_EQ(got.final_ps, 76573661);
+  EXPECT_EQ(got.events, 16192u);
+  EXPECT_EQ(got.fiber_switches, 12160);
+}

@@ -83,6 +83,66 @@ TEST(EndpointInternals, ReorderBufferEngagesUnderRoundRobin) {
   EXPECT_GT(peak_parked, 0u);  // the wire really did reorder
 }
 
+namespace {
+
+// A zero-byte eager wire message of one flow, as the NIC would hand it over.
+deep::net::Message flow_msg(dm::EpId src, dm::EpId dst, std::uint64_t seq,
+                            dm::Tag tag) {
+  dm::WireHeader h;
+  h.kind = dm::MsgKind::Eager;
+  h.context = 7;
+  h.src_rank = 0;
+  h.tag = tag;
+  h.src_ep = src;
+  h.dst_ep = dst;
+  h.seq = seq;
+  deep::net::Message m;
+  m.port = deep::net::Port::Mpi;
+  m.header = h;
+  return m;
+}
+
+}  // namespace
+
+TEST(EndpointInternals, LostSequenceReleasesParkedMessagesInOrder) {
+  // Drives one endpoint's inbound flows directly: arrivals ahead of a hole
+  // are parked, note_lost_seq fills the hole, and the parked messages are
+  // delivered in sequence order.  A second source's flow is independent.
+  MpiRig rig(1);
+  auto& sys = rig.system();
+  dm::Endpoint& ep = sys.create_endpoint(0);
+  const dm::EpId a = sys.create_endpoint(0).id();
+  const dm::EpId b = sys.create_endpoint(0).id();
+
+  ep.on_message(flow_msg(a, ep.id(), 1, 101));  // ahead of seq 0
+  EXPECT_EQ(ep.parked_count(), 1u);
+  EXPECT_EQ(ep.unexpected_count(), 0u);
+  ep.note_lost_seq(a, 0);  // the hole it waited on is gone
+  EXPECT_EQ(ep.parked_count(), 0u);
+  EXPECT_EQ(ep.unexpected_count(), 1u);
+
+  ep.on_message(flow_msg(a, ep.id(), 3, 103));  // parked behind seq 2
+  ep.note_lost_seq(a, 4);                       // a later hole, noted early
+  EXPECT_EQ(ep.parked_count(), 1u);
+  ep.on_message(flow_msg(b, ep.id(), 0, 200));  // other flow: straight through
+  EXPECT_EQ(ep.parked_count(), 1u);
+  EXPECT_EQ(ep.unexpected_count(), 2u);
+  ep.on_message(flow_msg(a, ep.id(), 2, 102));  // releases 3, skips lost 4
+  EXPECT_EQ(ep.parked_count(), 0u);
+  ep.on_message(flow_msg(a, ep.id(), 5, 105));  // in order again
+  EXPECT_EQ(ep.parked_count(), 0u);
+  EXPECT_EQ(ep.unexpected_count(), 5u);
+  EXPECT_EQ(ep.lifetime_parked(), 2u);
+
+  // The unexpected queue holds them in delivery order.
+  for (const dm::Tag tag : {101, 200, 102, 103, 105}) {
+    const dm::RequestPtr r = ep.post_recv(7, dm::kAnySource, dm::kAnyTag, {});
+    ASSERT_TRUE(r->done);
+    EXPECT_EQ(r->status.tag, tag);
+  }
+  EXPECT_EQ(ep.unexpected_count(), 0u);
+}
+
 TEST(MpiSystemInternals, ContextBlocksAreMemoised) {
   MpiRig rig(1);
   auto& sys = rig.system();

@@ -578,3 +578,119 @@ TEST(FatTree, PairLinkFailureLeavesOtherRoutesUp) {
   EXPECT_EQ(arrived, 2);
   EXPECT_EQ(t.stats().messages_dropped, 2);
 }
+
+// ---------------------------------------------------------------------------
+// Node-indexed tables (every fabric keeps its per-node state in vectors
+// indexed by node id)
+// ---------------------------------------------------------------------------
+
+#include "net/dragonfly.hpp"
+
+namespace {
+
+/// The bare base fabric: delivers every message at once through deliver_at,
+/// with no destination check of its own.
+class InstantFabric final : public dn::Fabric {
+ public:
+  using dn::Fabric::Fabric;
+  void send(dn::Message msg, dn::Service) override {
+    deliver_at(engine_->now(), std::move(msg));
+  }
+};
+
+}  // namespace
+
+TEST(NodeTables, NonContiguousAttachListsIdsAscending) {
+  ds::Engine eng;
+  dn::CrossbarFabric ib(eng, "ib", {});
+  ib.attach(9);
+  ib.attach(2);
+  EXPECT_EQ(ib.attached_ids(), (std::vector<deep::hw::NodeId>{2, 9}));
+  EXPECT_TRUE(ib.attached(9));
+  EXPECT_FALSE(ib.attached(5));  // a gap below the largest id
+  EXPECT_FALSE(ib.attached(-1));
+  EXPECT_FALSE(ib.attached(1 << 20));
+  EXPECT_EQ(ib.nic(2).node(), 2);
+  EXPECT_THROW(ib.attach(9), deep::util::UsageError);
+  EXPECT_THROW(ib.attach(2), deep::util::UsageError);
+  EXPECT_THROW(ib.attach(-3), deep::util::UsageError);
+  EXPECT_EQ(ib.attached_ids().size(), 2u);
+  // Traffic between the sparse ids still flows.
+  int arrived = 0;
+  ib.nic(9).bind(dn::Port::Raw, [&](dn::Message&&) { ++arrived; });
+  ib.send(mk(2, 9, 64), dn::Service::Small);
+  eng.run();
+  EXPECT_EQ(arrived, 1);
+}
+
+TEST(NodeTables, PartitionQueriesUnderPartialAssignment) {
+  ds::Engine eng;
+  eng.set_partitions(3);
+  dn::CrossbarFabric ib(eng, "ib", {});
+  for (const deep::hw::NodeId n : {0, 4, 7}) ib.attach(n);
+  EXPECT_FALSE(ib.partitioned());
+  EXPECT_TRUE(ib.has_partition_nodes(0));  // everyone defaults to 0
+  EXPECT_FALSE(ib.has_partition_nodes(1));
+
+  ib.set_node_partition(4, 1);
+  EXPECT_TRUE(ib.partitioned());
+  EXPECT_TRUE(ib.has_partition_nodes(0));  // 0 and 7 are still unassigned
+  EXPECT_TRUE(ib.has_partition_nodes(1));
+  EXPECT_FALSE(ib.has_partition_nodes(2));
+  EXPECT_EQ(ib.partition_of(4), 1u);
+  EXPECT_EQ(ib.partition_of(7), 0u);
+  EXPECT_EQ(ib.partition_of(2), 0u);   // unattached gap
+  EXPECT_EQ(ib.partition_of(99), 0u);  // beyond the table
+  EXPECT_EQ(ib.partition_of(-1), 0u);
+
+  ib.set_node_partition(0, 1);
+  ib.set_node_partition(7, 2);
+  EXPECT_FALSE(ib.has_partition_nodes(0));  // all assigned elsewhere
+  EXPECT_TRUE(ib.has_partition_nodes(2));
+  ib.set_node_partition(7, 1);  // reassignment replaces, not adds
+  EXPECT_FALSE(ib.has_partition_nodes(2));
+  ib.set_node_partition(7, 0);  // explicitly 0 counts as partition 0
+  EXPECT_TRUE(ib.has_partition_nodes(0));
+
+  EXPECT_THROW(ib.set_node_partition(3, 1), deep::util::UsageError);
+  EXPECT_THROW(ib.set_node_partition(4, 3), deep::util::UsageError);
+}
+
+TEST(NodeTables, NodeLookupsRejectUnknownIdsWithTypedError) {
+  ds::Engine eng;
+  dn::CrossbarFabric ib(eng, "ib", {});
+  dn::TorusParams tp;
+  tp.dims = {4, 1, 1};
+  dn::TorusFabric torus(eng, "torus", tp);
+  dn::FatTreeFabric tree(eng, "ft", ft(4, 4));
+  dn::DragonflyFabric fly(eng, "fly", {});
+  for (const deep::hw::NodeId n : {3, 5}) {
+    ib.attach(n);
+    torus.attach(n);
+    tree.attach(n);
+    fly.attach(n);
+  }
+  EXPECT_EQ(torus.coord_of(5).x, 1);
+  EXPECT_EQ(tree.leaf_of(5), 0);
+  EXPECT_EQ(fly.router_of(5), 0);
+  for (const deep::hw::NodeId bad : {4, 0, -1, -1000, 6, 1 << 20}) {
+    SCOPED_TRACE("node " + std::to_string(bad));
+    EXPECT_THROW(ib.nic(bad), deep::util::SimError);
+    EXPECT_THROW(torus.coord_of(bad), deep::util::SimError);
+    EXPECT_THROW(torus.hops(3, bad), deep::util::SimError);
+    EXPECT_THROW(tree.leaf_of(bad), deep::util::SimError);
+    EXPECT_THROW(fly.router_of(bad), deep::util::SimError);
+  }
+}
+
+TEST(NodeTables, DeliveryToUnattachedNodeIsTypedError) {
+  // The base delivery path resolves the destination NIC itself; an unknown
+  // destination is a SimError like every other node lookup.
+  ds::Engine eng;
+  InstantFabric fabric(eng, "instant");
+  fabric.attach(0);
+  EXPECT_THROW(fabric.send(mk(0, 8, 64), dn::Service::Small),
+               deep::util::SimError);
+  EXPECT_THROW(fabric.send(mk(0, -2, 64), dn::Service::Small),
+               deep::util::SimError);
+}
