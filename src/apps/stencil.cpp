@@ -11,6 +11,35 @@
 
 namespace deep::apps {
 
+namespace {
+
+/// One interior row of the 5-point sweep: writes the new row to `out` and
+/// returns max |out[c] - row[c]| over the interior columns.  The sum keeps
+/// the cell-at-a-time order and the max is the same std::max chain, so
+/// every result is bit-identical to the old sweep.  The max lives in a
+/// local: `last_update` has its address taken (checkpoint pack), so
+/// folding into it directly stored and reloaded it on every cell.  The
+/// loop stays scalar on purpose: the max chain paces it and the row loads
+/// issue under that chain, which keeps the sweep's cost steady on a shared
+/// host, where a vectorised sweep ran at the speed of the memory system
+/// (docs/perf.md, "Numerics on the booster").
+double sweep_row(const double* __restrict above, const double* __restrict row,
+                 const double* __restrict below, double* __restrict out,
+                 int nx) {
+  const int last = nx - 1;
+  double max_update = 0.0;
+  for (int c = 1; c < last; ++c) {
+    const double v = 0.25 * (above[c] + below[c] + row[c - 1] + row[c + 1]);
+    out[c] = v;
+    max_update = std::max(max_update, std::abs(v - row[c]));
+  }
+  out[0] = row[0];
+  out[last] = row[last];
+  return max_update;
+}
+
+}  // namespace
+
 StencilResult run_jacobi(mpi::Mpi& mpi, const mpi::Comm& comm,
                          const StencilConfig& config) {
   DEEP_EXPECT(config.nx >= 3 && config.rows >= 1 && config.iterations >= 1,
@@ -27,7 +56,13 @@ StencilResult run_jacobi(mpi::Mpi& mpi, const mpi::Comm& comm,
     return static_cast<std::size_t>(r) * nx + c;
   };
   std::vector<double> grid(static_cast<std::size_t>(rows + 2) * nx, 0.0);
-  std::vector<double> next(grid.size(), 0.0);
+  // The sweep updates `grid` in place: row r's new values wait in one of
+  // two row buffers until row r+1, the last reader of its old values, has
+  // been computed.
+  std::vector<double> fresh(2 * static_cast<std::size_t>(nx));
+  const auto fresh_row = [&fresh, nx](int r) {
+    return &fresh[static_cast<std::size_t>(r & 1) * nx];
+  };
   if (me == 0)
     for (int c = 0; c < nx; ++c) grid[idx(0, c)] = config.top_value;
 
@@ -47,9 +82,11 @@ StencilResult run_jacobi(mpi::Mpi& mpi, const mpi::Comm& comm,
     }
   }
 
+  std::vector<mpi::RequestPtr> reqs;
+  reqs.reserve(4);
   for (int iter = start_iter; iter < config.iterations; ++iter) {
     // Halo exchange: send my top interior row up, bottom interior row down.
-    std::vector<mpi::RequestPtr> reqs;
+    reqs.clear();
     const std::span<double> top_halo(&grid[idx(0, 0)], static_cast<std::size_t>(nx));
     const std::span<double> bot_halo(&grid[idx(rows + 1, 0)],
                                      static_cast<std::size_t>(nx));
@@ -72,19 +109,12 @@ StencilResult run_jacobi(mpi::Mpi& mpi, const mpi::Comm& comm,
     // Real 5-point sweep on the interior; fixed left/right edges.
     last_update = 0.0;
     for (int r = 1; r <= rows; ++r) {
-      for (int c = 1; c < nx - 1; ++c) {
-        const double v = 0.25 * (grid[idx(r - 1, c)] + grid[idx(r + 1, c)] +
-                                 grid[idx(r, c - 1)] + grid[idx(r, c + 1)]);
-        last_update = std::max(last_update, std::abs(v - grid[idx(r, c)]));
-        next[idx(r, c)] = v;
-      }
-      next[idx(r, 0)] = grid[idx(r, 0)];
-      next[idx(r, nx - 1)] = grid[idx(r, nx - 1)];
+      last_update = std::max(
+          last_update, sweep_row(&grid[idx(r - 1, 0)], &grid[idx(r, 0)],
+                                 &grid[idx(r + 1, 0)], fresh_row(r), nx));
+      if (r > 1) std::copy_n(fresh_row(r - 1), nx, &grid[idx(r - 1, 0)]);
     }
-    // Preserve halos/boundaries, then swap.
-    std::copy_n(&grid[idx(0, 0)], nx, &next[idx(0, 0)]);
-    std::copy_n(&grid[idx(rows + 1, 0)], nx, &next[idx(rows + 1, 0)]);
-    grid.swap(next);
+    std::copy_n(fresh_row(rows), nx, &grid[idx(rows, 0)]);
 
     // Burn the modelled sweep time on this rank's cores.
     mpi.compute(hw::kernels::jacobi2d(nx, rows), mpi.node().spec().cores);

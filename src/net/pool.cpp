@@ -7,6 +7,15 @@
 
 namespace deep::net {
 
+namespace detail {
+// A parked Message, linked into its home pool's free list while unused.
+struct MessageSlot {
+  Message msg;
+  MessageSlot* next_free = nullptr;
+  MessagePool* home = nullptr;
+};
+}  // namespace detail
+
 // The pools are intentionally leaked (never-destroyed heap singletons):
 // pooled Message slots hold Payloads, so tearing the pools down in static
 // destruction order would have one pool's destructor call into the other's
@@ -44,53 +53,90 @@ PoolT& lane_pool() {
 BufferPool& BufferPool::instance() { return lane_pool<BufferPool>(); }
 
 detail::Buffer* BufferPool::acquire(std::size_t size) {
-  detail::Buffer* buf;
-  if (free_head_ != nullptr) {
-    buf = free_head_;
-    free_head_ = buf->next_free;
+  detail::Buffer*& head = size > kSmallCapacity ? large_free_ : small_free_;
+  // Adopt what foreign lanes returned before growing the pool.
+  if (head == nullptr)
+    returned_.drain([this](detail::Buffer* b) { push_free(b); });
+  detail::Buffer* buf = head;
+  if (buf != nullptr) {
+    head = buf->next_free;
     buf->next_free = nullptr;
     --free_count_;
   } else {
     all_.push_back(std::make_unique<detail::Buffer>());
     buf = all_.back().get();
+    buf->home = this;
   }
-  buf->bytes.resize(size);  // shrinking keeps capacity; growing is the only
-                            // allocation a warm pool ever performs
+  // Growing is the only allocation a warm pool ever performs; clearing
+  // first makes the new capacity exactly `size`, so a small buffer never
+  // grows past kSmallCapacity.
+  if (buf->bytes.capacity() < size) buf->bytes.clear();
+  buf->bytes.resize(size);
   buf->refs.store(1, std::memory_order_relaxed);
   return buf;
 }
 
 void BufferPool::release(detail::Buffer* buffer) {
   if (buffer->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  // Joins this lane's free list even if another lane's acquire() created the
-  // node: nodes live forever, so pools may adopt each other's buffers.
-  buffer->next_free = free_head_;
-  free_head_ = buffer;
+  if (buffer->home == this)
+    push_free(buffer);
+  else
+    buffer->home->returned_.push(buffer);
+}
+
+void BufferPool::push_free(detail::Buffer* buffer) {
+  detail::Buffer*& head =
+      buffer->bytes.capacity() > kSmallCapacity ? large_free_ : small_free_;
+  buffer->next_free = head;
+  head = buffer;
   ++free_count_;
+}
+
+std::size_t BufferPool::total_capacity() const {
+  std::size_t bytes = 0;
+  for (const auto& b : all_) bytes += b->bytes.capacity();
+  return bytes;
 }
 
 MessagePool& MessagePool::instance() { return lane_pool<MessagePool>(); }
 
-Message* MessagePool::acquire() {
-  if (!free_.empty()) {
-    Message* slot = free_.back();
-    free_.pop_back();
+detail::MessageSlot* MessagePool::acquire() {
+  if (free_head_ == nullptr)
+    returned_.drain([this](detail::MessageSlot* s) { push_free(s); });
+  detail::MessageSlot* slot = free_head_;
+  if (slot != nullptr) {
+    free_head_ = slot->next_free;
+    slot->next_free = nullptr;
+    --free_count_;
     return slot;
   }
-  all_.push_back(std::make_unique<Message>());
-  return all_.back().get();
+  all_.push_back(std::make_unique<detail::MessageSlot>());
+  slot = all_.back().get();
+  slot->home = this;
+  return slot;
 }
 
-void MessagePool::release(Message* slot) {
-  slot->header.emplace<std::monostate>();
-  slot->payload.reset();  // return the buffer now, not at next reuse
-  free_.push_back(slot);
+void MessagePool::release(detail::MessageSlot* slot) {
+  slot->msg.header.emplace<std::monostate>();
+  slot->msg.payload.reset();  // return the buffer now, not at next reuse
+  if (slot->home == this)
+    push_free(slot);
+  else
+    slot->home->returned_.push(slot);
+}
+
+void MessagePool::push_free(detail::MessageSlot* slot) {
+  slot->next_free = free_head_;
+  free_head_ = slot;
+  ++free_count_;
 }
 
 PooledMessage::PooledMessage(Message&& msg)
     : slot_(MessagePool::instance().acquire()) {
-  *slot_ = std::move(msg);
+  slot_->msg = std::move(msg);
 }
+
+Message&& PooledMessage::take() { return static_cast<Message&&>(slot_->msg); }
 
 void PooledMessage::reset() {
   if (slot_ != nullptr) {

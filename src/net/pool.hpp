@@ -10,11 +10,12 @@
 // (docs/parallel_engine.md).  Concurrent in-process simulations (the
 // multi-tenant service, docs/service.md) each claim a session slot, so
 // their pools never alias even though every session's threads default to
-// lane 0.  The only shared
-// mutable state is the payload refcount, which is atomic so a payload handed
-// across partitions can be retained/released from its new home lane; the
-// freed node simply joins the releasing lane's free list (nodes are never
-// destroyed, so migrating between lane pools is harmless).
+// lane 0.  A buffer or message slot remembers the pool that created it.
+// Released on that pool's lane, it joins the local free list; released on
+// a foreign lane (a payload or message that crossed a partition bridge), it
+// is pushed onto its home pool's lock-free return stack, which the home
+// lane drains before it allocates.  The payload refcount and the return
+// stacks are the only state shared between lanes.
 //
 //  * BufferPool + Payload — reference-counted, pool-backed payload bytes.
 //    Payload replaces the old shared_ptr<const vector<byte>>: same call-site
@@ -38,7 +39,9 @@
 // Invariants (tested in tests/netperf_test.cpp):
 //  * a released buffer/slot is reused before any new one is allocated;
 //  * releasing resets payload references so pooled slots never pin buffers;
-//  * pools only grow to the high-water mark of in-flight objects.
+//  * pools only grow to the high-water mark of in-flight objects, counted
+//    per home pool, so repeated sessions reach a fixed size;
+//  * a large payload never enlarges a buffer that small messages reuse.
 
 #include <array>
 #include <atomic>
@@ -55,24 +58,62 @@ namespace deep::net {
 
 struct Message;
 
+class BufferPool;
+class MessagePool;
+
 namespace detail {
 
-/// One pooled payload buffer: bytes + intrusive refcount + free-list link.
-/// The refcount is atomic because Payload handles may be copied on one
-/// execution lane and dropped on another after crossing a partition bridge;
-/// everything else is only touched by the lane whose free list holds the
-/// node.
+/// One pooled payload buffer: bytes + intrusive refcount + free-list link +
+/// the pool that created it.  The refcount is atomic because Payload
+/// handles may be copied on one execution lane and dropped on another after
+/// crossing a partition bridge; everything else is only touched by the lane
+/// whose free list (or return stack) holds the node.
 struct Buffer {
   std::vector<std::byte> bytes;
   std::atomic<std::int32_t> refs{0};
   Buffer* next_free = nullptr;
+  BufferPool* home = nullptr;
+};
+
+/// A pooled Message plus its free-list link and home pool (pool.cpp).
+struct MessageSlot;
+
+/// Lock-free stack of nodes that foreign lanes released back to their home
+/// pool.  Any lane may push; only the home lane takes, and it takes the
+/// whole stack at once, so a pop never races another pop (no ABA).
+template <typename Node>
+class ReturnStack {
+ public:
+  void push(Node* node) {
+    Node* head = head_.load(std::memory_order_relaxed);
+    do {
+      node->next_free = head;
+    } while (!head_.compare_exchange_weak(head, node, std::memory_order_release,
+                                          std::memory_order_relaxed));
+  }
+  /// Empties the stack, handing each node to `adopt`.
+  template <typename Adopt>
+  void drain(Adopt adopt) {
+    if (head_.load(std::memory_order_relaxed) == nullptr) return;
+    for (Node* n = head_.exchange(nullptr, std::memory_order_acquire);
+         n != nullptr;) {
+      Node* next = n->next_free;
+      adopt(n);
+      n = next;
+    }
+  }
+
+ private:
+  std::atomic<Node*> head_{nullptr};
 };
 
 }  // namespace detail
 
 /// Free-list pool of payload buffers.  Buffers keep their byte capacity
 /// across reuse, so a steady-state message mix stops allocating once the
-/// working set has been seen once.
+/// working set has been seen once.  Buffers larger than kSmallCapacity wait
+/// on a free list of their own, so one large payload never permanently
+/// enlarges a buffer that small messages would reuse.
 class BufferPool {
  public:
   /// The current execution lane's pool (lane 0 — the historical process-wide
@@ -81,16 +122,25 @@ class BufferPool {
 
   /// A buffer with refs == 1 and bytes.size() == size (capacity reused).
   detail::Buffer* acquire(std::size_t size);
+  /// Drops one reference; the last one returns the buffer to its home pool.
   void release(detail::Buffer* buffer);
 
-  /// Introspection for tests.
+  /// Introspection for tests.  total_capacity() walks every buffer this
+  /// pool created, so call it only while no simulation runs.
   std::size_t total_buffers() const { return all_.size(); }
   std::size_t free_buffers() const { return free_count_; }
+  std::size_t total_capacity() const;
 
  private:
+  static constexpr std::size_t kSmallCapacity = 64 * 1024;
+
+  void push_free(detail::Buffer* buffer);
+
   std::vector<std::unique_ptr<detail::Buffer>> all_;  // owns every node
-  detail::Buffer* free_head_ = nullptr;
+  detail::Buffer* small_free_ = nullptr;
+  detail::Buffer* large_free_ = nullptr;
   std::size_t free_count_ = 0;
+  detail::ReturnStack<detail::Buffer> returned_;
 };
 
 /// Reference-counted handle to a pooled, immutable payload buffer.  Mirrors
@@ -163,17 +213,22 @@ class MessagePool {
   /// The current execution lane's pool (see BufferPool::instance).
   static MessagePool& instance();
 
-  Message* acquire();
-  /// Clears the slot (header to monostate, payload dropped) and recycles it.
-  void release(Message* slot);
+  detail::MessageSlot* acquire();
+  /// Clears the slot (header to monostate, payload dropped) and returns it
+  /// to its home pool.
+  void release(detail::MessageSlot* slot);
 
   /// Introspection for tests.
   std::size_t total_slots() const { return all_.size(); }
-  std::size_t free_slots() const { return free_.size(); }
+  std::size_t free_slots() const { return free_count_; }
 
  private:
-  std::vector<std::unique_ptr<Message>> all_;  // owns every slot
-  std::vector<Message*> free_;
+  void push_free(detail::MessageSlot* slot);
+
+  std::vector<std::unique_ptr<detail::MessageSlot>> all_;  // owns every slot
+  detail::MessageSlot* free_head_ = nullptr;
+  std::size_t free_count_ = 0;
+  detail::ReturnStack<detail::MessageSlot> returned_;
 };
 
 /// Move-only owner of one pooled Message slot.  Construct from a Message to
@@ -200,12 +255,12 @@ class PooledMessage {
 
   /// The parked message, moved out.  The slot stays owned (and is recycled
   /// when this owner is destroyed).
-  Message&& take() { return static_cast<Message&&>(*slot_); }
+  Message&& take();
 
  private:
   void reset();
 
-  Message* slot_ = nullptr;
+  detail::MessageSlot* slot_ = nullptr;
 };
 
 /// Rebindable free-list allocator for single-object std::allocate_shared:

@@ -51,8 +51,10 @@ void ResilientJob::launch_attempt(int attempt) {
   succeeded_.assign(static_cast<std::size_t>(n), 0);
   procs_.clear();
   for (int r = 0; r < n; ++r) {
-    const std::string name =
-        "a" + std::to_string(attempt) + ".rank" + std::to_string(r);
+    std::string name = "a";
+    name += std::to_string(attempt);
+    name += ".rank";
+    name += std::to_string(r);
     procs_.push_back(&engine_->spawn(name, [this, world, r](sim::Context& ctx) {
       auto state = std::make_shared<mpi::CommState>();
       state->ctx_p2p = world.ctx_p2p;

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "apps/cholesky.hpp"
 #include "apps/stencil.hpp"
 #include "hw/node.hpp"
@@ -129,6 +133,82 @@ TEST(Stencil, DistributedMatchesSequential) {
     });
   }
   EXPECT_NEAR(seq, par, 1e-9 * std::abs(seq));
+}
+
+// Bit patterns of residual and checksum recorded from the original
+// cell-at-a-time sweep.  The interior width nx - 2 takes every remainder
+// modulo four, so a sweep split into lanes or vectors of up to four cells
+// is covered at every tail length; rows covers a single row, a few and
+// many, and 3 ranks add halo exchange.  A top value of 0.1 is not a
+// dyadic fraction, so the sums round and a reordered sum changes some
+// checksum.
+struct JacobiGolden {
+  int nx, rows, ranks;
+  std::uint64_t residual, checksum;
+};
+constexpr JacobiGolden kJacobiGolden[] = {
+    {3, 1, 1, 0x0000000000000000, 0x3f9999999999999a},
+    {3, 5, 1, 0x3db14caccc000000, 0x3fa2b52b5285434d},
+    {3, 64, 1, 0x3dcfebe666800000, 0x3fa2bd9171ca7dcd},
+    {4, 1, 1, 0x3c9a000000000000, 0x3fb111111111110d},
+    {4, 5, 1, 0x3e9db50088800000, 0x3fbf497d2da8e38d},
+    {4, 64, 1, 0x3ea88a628f99a000, 0x3fbfa2e69c6b950c},
+    {5, 1, 1, 0x3d5999a000000000, 0x3fbd41d41d413334},
+    {5, 5, 1, 0x3ef0e163b17ffc00, 0x3fd0483b00354f7d},
+    {5, 64, 1, 0x3efb7ae0384ccc00, 0x3fd0c885b94a1aca},
+    {6, 1, 1, 0x3da7b5a700000000, 0x3fc4f2094f138d5a},
+    {6, 5, 1, 0x3f122491f6333400, 0x3fdafc90b61110d5},
+    {6, 64, 1, 0x3f1827249ba0cd00, 0x3fdc6416411b499f},
+    {7, 1, 1, 0x3dd14cacc0000000, 0x3fcb52b52af6e321},
+    {7, 5, 1, 0x3f2710e62cbc2700, 0x3fe386e7465dc011},
+    {7, 64, 1, 0x3f2ce4a9a7a19a00, 0x3fe4e0c0a95b1ab6},
+    {256, 1, 1, 0x3e19999998000000, 0x402953a8c89bc3ca},
+    {256, 5, 1, 0x3f49dacea816efc0, 0x404a50e3d1cc8294},
+    {256, 64, 1, 0x3f4f5a0e985d9980, 0x404dbc2bbe0e0f52},
+    {257, 1, 1, 0x3e19999998000000, 0x40296d4262289098},
+    {257, 5, 1, 0x3f49dacea816efc0, 0x404a6ba3deeecf92},
+    {257, 64, 1, 0x3f4f5a0e985d9980, 0x404dda6ae04deedd},
+    {3, 1, 3, 0x3d4999a000000000, 0x3fa249249248cccd},
+    {3, 5, 3, 0x3dcfebe666800000, 0x3fa2bd9170c4f6cd},
+    {3, 64, 3, 0x3dcfebe666800000, 0x3fa2bd9171ca7dcd},
+    {4, 1, 3, 0x3e69e890a0000000, 0x3fbd41ce29aab60d},
+    {4, 5, 3, 0x3ea88a628f99a000, 0x3fbfa2e635127a8d},
+    {4, 64, 3, 0x3ea88a628f99a000, 0x3fbfa2e69c6b950c},
+    {5, 1, 3, 0x3ec999999999a000, 0x3fcccb999999999a},
+    {5, 5, 3, 0x3efb7ae0384ccc00, 0x3fd0c884efcc03c0},
+    {5, 64, 3, 0x3efb7ae0384ccc00, 0x3fd0c885b94a1aca},
+    {6, 1, 3, 0x3eec259eaeb9a800, 0x3fd6b1c88aa3a23a},
+    {6, 5, 3, 0x3f1827249ba0cd00, 0x3fdc6414122ab3f3},
+    {6, 64, 3, 0x3f1827249ba0cd00, 0x3fdc6416411b499f},
+    {7, 1, 3, 0x3f00d46f69300000, 0x3fdf9c5a92aea851},
+    {7, 5, 3, 0x3f2ce4a9a7a19a00, 0x3fe4e0bea8c83c65},
+    {7, 64, 3, 0x3f2ce4a9a7a19a00, 0x3fe4e0c0a95b1ab6},
+    {256, 1, 3, 0x3f29e890a0000000, 0x404292a723db55b0},
+    {256, 5, 3, 0x3f4f5a0e985d9980, 0x404dbc27983e237d},
+    {256, 64, 3, 0x3f4f5a0e985d9980, 0x404dbc2bbe0e0f52},
+    {257, 1, 3, 0x3f29e890a0000000, 0x4042a57f333d2fe3},
+    {257, 5, 3, 0x3f4f5a0e985d9980, 0x404dda66b6424f15},
+    {257, 64, 3, 0x3f4f5a0e985d9980, 0x404dda6ae04deedd},
+};
+
+TEST(Stencil, SweepIsBitIdenticalToGolden) {
+  for (const JacobiGolden& g : kJacobiGolden) {
+    SCOPED_TRACE("nx=" + std::to_string(g.nx) + " rows=" +
+                 std::to_string(g.rows) + " ranks=" + std::to_string(g.ranks));
+    MpiRig rig(g.ranks);
+    da::StencilResult res;
+    rig.run([&](deep::mpi::Mpi& mpi) {
+      da::StencilConfig cfg;
+      cfg.nx = g.nx;
+      cfg.rows = g.rows;
+      cfg.iterations = 25;
+      cfg.top_value = 0.1;
+      const auto r = da::run_jacobi(mpi, mpi.world(), cfg);
+      if (mpi.rank() == 0) res = r;
+    });
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(res.residual), g.residual);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(res.checksum), g.checksum);
+  }
 }
 
 TEST(Stencil, RunsOnBoosterTorus) {

@@ -1,5 +1,6 @@
 // Hot-path guarantees of the zero-allocation message path (docs/perf.md):
-//  * buffer/message/request pooling invariants (net/pool.hpp),
+//  * buffer/message/request pooling invariants (net/pool.hpp), including
+//    pool sizes that stay fixed across repeated sessions,
 //  * the memoised torus route table matches an independent reimplementation
 //    of per-hop dimension-ordered routing (wrap-around, ties, dims == 1),
 //  * the packed link-index aliasing guard,
@@ -14,6 +15,7 @@
 
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "cbp/gateway.hpp"
@@ -23,7 +25,9 @@
 #include "net/torus.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
+#include "svc/session.hpp"
 #include "util/error.hpp"
+#include "util/lane.hpp"
 
 #include "mpi_rig.hpp"
 
@@ -32,6 +36,8 @@ namespace dm = deep::mpi;
 namespace dn = deep::net;
 namespace dob = deep::obs;
 namespace ds = deep::sim;
+namespace dsv = deep::svc;
+namespace du = deep::util;
 
 // ---------------------------------------------------------------------------
 // Allocation counting: every path into the heap in this binary goes through
@@ -132,6 +138,71 @@ TEST(PoolAllocator, RecyclesSingleObjectAllocations) {
   auto again = std::allocate_shared<Blob>(dn::PoolAllocator<Blob>{});
   EXPECT_EQ(g_allocs, allocs_before);  // served from the free list
   EXPECT_EQ(first, again.get());
+}
+
+// ---------------------------------------------------------------------------
+// Pool bounds across sessions.  The pools keep every node they ever created
+// reachable, so LeakSanitizer cannot see unbounded growth; these tests pin
+// it instead.  Identical sessions run back to back must leave every
+// (session, lane) shard at the size the second session left it.
+// ---------------------------------------------------------------------------
+
+struct ShardSize {
+  std::size_t slots = 0, buffers = 0, capacity = 0;
+};
+
+// The first kLanesChecked lanes of every session shard (run_session claims
+// a session slot of its own).
+std::vector<ShardSize> shard_sizes() {
+  constexpr std::uint32_t kLanesChecked = 8;
+  std::vector<ShardSize> sizes;
+  for (std::uint32_t session = 0; session < du::kMaxSessions; ++session) {
+    for (std::uint32_t lane = 0; lane < kLanesChecked; ++lane) {
+      du::SessionGuard in_session(session);
+      du::LaneGuard on_lane(lane);
+      const auto& buffers = dn::BufferPool::instance();
+      sizes.push_back({dn::MessagePool::instance().total_slots(),
+                       buffers.total_buffers(), buffers.total_capacity()});
+    }
+  }
+  return sizes;
+}
+
+void expect_pools_bounded_across_sessions(const std::string& spec_text) {
+  dsv::Reject reject;
+  const auto spec = dsv::JobSpec::from_text(spec_text, reject);
+  ASSERT_TRUE(spec.has_value()) << reject.message;
+  std::vector<ShardSize> after_second;
+  for (int session = 1; session <= 5; ++session) {
+    const dsv::SessionResult result = dsv::run_session(*spec);
+    ASSERT_TRUE(result.ok) << result.error;
+    if (session == 2) after_second = shard_sizes();
+  }
+  const std::vector<ShardSize> after_fifth = shard_sizes();
+  ASSERT_EQ(after_fifth.size(), after_second.size());
+  for (std::size_t i = 0; i < after_fifth.size(); ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    EXPECT_EQ(after_fifth[i].slots, after_second[i].slots);
+    EXPECT_EQ(after_fifth[i].buffers, after_second[i].buffers);
+    EXPECT_EQ(after_fifth[i].capacity, after_second[i].capacity);
+  }
+}
+
+// Halo rows cross between booster partitions and CBP frames reach the
+// cluster partition: slots and buffers created on one lane are released on
+// another and must find their way back.
+TEST(PoolBound, PartitionedSessionsDoNotGrowThePools) {
+  expect_pools_bounded_across_sessions(
+      R"({"workload": "stencil", "cluster": 4, "booster": 8, "gateways": 2,)"
+      R"( "procs": 8, "partitions": 3})");
+}
+
+// Each offload carries a 294,912-byte input next to many small messages: a
+// large payload must not leave a small-message buffer enlarged.
+TEST(PoolBound, LargePayloadSessionsDoNotGrowThePools) {
+  expect_pools_bounded_across_sessions(
+      R"({"workload": "cholesky", "cluster": 4, "booster": 32, "gateways": 2,)"
+      R"( "procs": 32})");
 }
 
 // ---------------------------------------------------------------------------
