@@ -1,15 +1,18 @@
 // Micro-benchmarks of the simulator infrastructure itself (wall-clock, via
 // google-benchmark): event dispatch, process context switches, mailbox
-// traffic, MPI messaging throughput and torus route computation.  These
-// guard the simulator's own performance, not the paper's claims.
+// traffic, MPI messaging throughput and torus route computation, plus the
+// host-side Cholesky numerics that every cholesky job runs.  These guard
+// the simulator's own performance, not the paper's claims.
 
 #include <benchmark/benchmark.h>
 
+#include "apps/cholesky.hpp"
 #include "net/torus.hpp"
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
 #include "tests/mpi_rig.hpp"
 
+namespace da = deep::apps;
 namespace dm = deep::mpi;
 namespace dn = deep::net;
 namespace ds = deep::sim;
@@ -146,6 +149,38 @@ void BM_CollectiveAllreduce(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * ranks);
 }
 BENCHMARK(BM_CollectiveAllreduce)->Arg(8)->Arg(32);
+
+// The Cholesky numerics at the shape service and offload jobs use (8 x 8
+// tiles of 24 x 24): the L * L^T - A check run after every factorisation,
+// and the sequential factorisation itself (8 potrf, 28 trsm, 28 syrk and
+// 56 gemm tile kernels; restoring the input is not timed).
+constexpr int kCholTiles = 8, kCholTileSize = 24;
+
+void BM_CholeskyFactorError(benchmark::State& state) {
+  da::TiledMatrix original(kCholTiles, kCholTileSize),
+      factor(kCholTiles, kCholTileSize);
+  da::fill_spd(original, 1);
+  factor.storage() = original.storage();
+  da::cholesky_reference(factor);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(da::factor_error(factor, original));
+}
+BENCHMARK(BM_CholeskyFactorError)->Unit(benchmark::kMicrosecond);
+
+void BM_CholeskyTileKernels(benchmark::State& state) {
+  da::TiledMatrix original(kCholTiles, kCholTileSize),
+      a(kCholTiles, kCholTileSize);
+  da::fill_spd(original, 1);
+  for (auto _ : state) {
+    state.PauseTiming();
+    a.storage() = original.storage();
+    state.ResumeTiming();
+    da::cholesky_reference(a);
+    benchmark::DoNotOptimize(a.storage().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CholeskyTileKernels)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

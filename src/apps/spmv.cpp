@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "apps/ckpt_state.hpp"
 #include "ckpt/checkpoint.hpp"
@@ -24,17 +23,23 @@ CsrBlock make_banded_matrix(int rank, int nranks, const SpmvConfig& config) {
   block.first_row = rank * config.rows_per_rank;
   block.rows = config.rows_per_rank;
   block.row_ptr.push_back(0);
+  // One row's off-diagonal columns, kept sorted and free of duplicates.
+  std::vector<int> cols;
+  cols.reserve(static_cast<std::size_t>(config.nnz_per_row));
   for (int local = 0; local < block.rows; ++local) {
     const int row = block.first_row + local;
     // Deterministic per-row off-diagonal pattern (identical no matter which
     // rank generates it).
     util::Rng rng(config.seed + static_cast<std::uint64_t>(row) * 2654435761u);
-    std::set<int> cols;
+    cols.clear();
     while (static_cast<int>(cols.size()) < config.nnz_per_row - 1) {
       const int offset =
           1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(config.band)));
       const int c = rng.chance(0.5) ? row - offset : row + offset;
-      if (c >= 0 && c < n && c != row) cols.insert(c);
+      if (c >= 0 && c < n && c != row) {
+        const auto at = std::lower_bound(cols.begin(), cols.end(), c);
+        if (at == cols.end() || *at != c) cols.insert(at, c);
+      }
       // Edge rows may not have enough valid columns in the band.
       if (row < config.band || row >= n - config.band) {
         if (static_cast<int>(cols.size()) >= config.nnz_per_row - 3) break;

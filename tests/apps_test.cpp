@@ -5,7 +5,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "apps/cholesky.hpp"
 #include "apps/stencil.hpp"
@@ -91,6 +93,161 @@ TEST(Cholesky, TaskGraphParallelismSpeedsUp) {
 
 TEST(Cholesky, FlopsFormula) {
   EXPECT_NEAR(da::cholesky_flops(100), 1e6 / 3.0, 1.0);
+}
+
+// Bit-identity goldens for the Cholesky numerics.  Each expected value is an
+// FNV-1a hash of IEEE bit patterns (or the bit pattern itself) recorded from
+// the original scalar kernels.  Random entries in [-1, 1) are not dyadic,
+// so the sums round, and a kernel that sums any element in a different
+// order changes some hash.
+namespace {
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+void fnv_mix(std::uint64_t& h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b, word >>= 8) {
+    h ^= word & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+std::uint64_t bits_hash(std::span<const double> v) {
+  std::uint64_t h = kFnvBasis;
+  for (const double x : v) fnv_mix(h, std::bit_cast<std::uint64_t>(x));
+  return h;
+}
+
+std::vector<double> random_tile(int ts, std::uint64_t seed) {
+  deep::util::Rng rng(seed);
+  std::vector<double> t(static_cast<std::size_t>(ts) * ts);
+  for (double& x : t) x = rng.uniform(-1.0, 1.0);
+  return t;
+}
+
+// Symmetric, diagonally dominant (so positive definite) tile.
+std::vector<double> spd_tile(int ts, std::uint64_t seed) {
+  auto t = random_tile(ts, seed);
+  const auto n = static_cast<std::size_t>(ts);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = j + 1; i < n; ++i) t[i * n + j] = t[j * n + i];
+    t[j * n + j] += ts;
+  }
+  return t;
+}
+
+struct TileKernelHashes {
+  std::uint64_t potrf, trsm, syrk, gemm;
+};
+
+TileKernelHashes tile_kernel_hashes(int ts) {
+  TileKernelHashes h{};
+  auto l = spd_tile(ts, 1);
+  da::potrf_tile(l, ts);
+  h.potrf = bits_hash(l);
+  auto b = random_tile(ts, 2);
+  da::trsm_tile(l, b, ts);
+  h.trsm = bits_hash(b);
+  auto c = spd_tile(ts, 3);
+  da::syrk_tile(random_tile(ts, 4), c, ts);
+  h.syrk = bits_hash(c);
+  auto g = random_tile(ts, 5);
+  da::gemm_tile(random_tile(ts, 6), random_tile(ts, 7), g, ts);
+  h.gemm = bits_hash(g);
+  return h;
+}
+
+// Error of a deliberately perturbed factor: entries move by up to 1e-3, so
+// the error is far above rounding level, yet its low bits still depend on
+// every rounding of the winning element's sum.
+std::uint64_t perturbed_factor_error_bits(int nt, int ts) {
+  da::TiledMatrix original(nt, ts), factor(nt, ts);
+  da::fill_spd(original, 17);
+  factor.storage() = original.storage();
+  da::cholesky_reference(factor);
+  deep::util::Rng rng(99);
+  for (double& x : factor.storage()) x += rng.uniform(-1e-3, 1e-3);
+  return std::bit_cast<std::uint64_t>(da::factor_error(factor, original));
+}
+
+std::uint64_t fill_spd_hash(int nt, int ts, std::uint64_t seed) {
+  da::TiledMatrix a(nt, ts);
+  da::fill_spd(a, seed);
+  return bits_hash(a.storage());
+}
+
+struct FactorErrorGolden {
+  int nt, ts;
+  std::uint64_t error;
+};
+// n = nt * ts covers n mod 4 = 1, 3, 2 and 0, and ts = 1.
+constexpr FactorErrorGolden kFactorErrorGolden[] = {
+    {1, 1, 0x3f46befcb5c90800},
+    {1, 5, 0x3f6f83338d4cb800},
+    {3, 5, 0x3f7d88cc3764d000},
+    {2, 7, 0x3f8036d12a60d800},
+    {8, 24, 0x3f9c49c82b686000},
+};
+
+struct TileKernelGolden {
+  int ts;
+  TileKernelHashes hashes;
+};
+constexpr TileKernelGolden kTileKernelGolden[] = {
+    {1,
+     {0x86cbea44f68ed98e, 0x8b092a25b91a6897,
+      0xa9dbe79df694e742, 0x9511d795f19735f0}},
+    {2,
+     {0x3eb1f1d4d59f3583, 0xef7b27fc8794b008,
+      0xa576b2a88d8ad058, 0x2619fbf6059fa47f}},
+    {3,
+     {0xe1ab7012e84b2733, 0x7c84035a41174c80,
+      0x6c38b52b49876911, 0x3dd8b66b516c6e79}},
+    {5,
+     {0xb97d4bd1514f11bb, 0xbc4902cee2d7b942,
+      0xd982d857c2643a30, 0x34b06d49dc5ed299}},
+    {24,
+     {0x90d03087c9458e1c, 0xed766da21951d1ff,
+      0x0b1bddd9be0b11ec, 0x0d91d05b2b77131b}},
+    {32,
+     {0x28b03de12ecc8f8e, 0x83995e653e4e838d,
+      0xb93a421fb7871278, 0x19a1dc373b2a9309}},
+};
+
+struct FillSpdGolden {
+  int nt, ts;
+  std::uint64_t seed, hash;
+};
+constexpr FillSpdGolden kFillSpdGolden[] = {
+    {1, 1, 1, 0xd41913283b3bc839},
+    {3, 5, 42, 0xf069424d219b130f},
+    {8, 24, 1, 0xf16af0a2f0b4cddc},
+};
+
+}  // namespace
+
+TEST(Cholesky, FactorErrorIsBitIdenticalToGolden) {
+  for (const FactorErrorGolden& g : kFactorErrorGolden) {
+    SCOPED_TRACE("nt=" + std::to_string(g.nt) + " ts=" + std::to_string(g.ts));
+    EXPECT_EQ(perturbed_factor_error_bits(g.nt, g.ts), g.error);
+  }
+}
+
+TEST(Cholesky, TileKernelsAreBitIdenticalToGolden) {
+  for (const TileKernelGolden& g : kTileKernelGolden) {
+    SCOPED_TRACE("ts=" + std::to_string(g.ts));
+    const TileKernelHashes h = tile_kernel_hashes(g.ts);
+    EXPECT_EQ(h.potrf, g.hashes.potrf);
+    EXPECT_EQ(h.trsm, g.hashes.trsm);
+    EXPECT_EQ(h.syrk, g.hashes.syrk);
+    EXPECT_EQ(h.gemm, g.hashes.gemm);
+  }
+}
+
+TEST(Cholesky, FillSpdIsBitIdenticalToGolden) {
+  for (const FillSpdGolden& g : kFillSpdGolden) {
+    SCOPED_TRACE("nt=" + std::to_string(g.nt) + " ts=" + std::to_string(g.ts));
+    EXPECT_EQ(fill_spd_hash(g.nt, g.ts, g.seed), g.hash);
+  }
 }
 
 TEST(Stencil, SequentialHeatFlowsDownward) {
@@ -454,6 +611,49 @@ TEST(Spmv, RunsOnBoosterAtScale) {
     const auto r = da::run_spmv_power(mpi, mpi.world(), cfg);
     EXPECT_GT(r.eigenvalue, 0);
   });
+}
+
+namespace {
+
+// Hash of every rank's CSR block of one global matrix.
+std::uint64_t banded_matrix_hash(const da::SpmvConfig& cfg, int nranks) {
+  std::uint64_t h = kFnvBasis;
+  for (int rank = 0; rank < nranks; ++rank) {
+    const auto a = da::make_banded_matrix(rank, nranks, cfg);
+    fnv_mix(h, static_cast<std::uint64_t>(a.first_row));
+    for (const int p : a.row_ptr) fnv_mix(h, static_cast<std::uint64_t>(p));
+    for (const int c : a.col) fnv_mix(h, static_cast<std::uint64_t>(c));
+    for (const double v : a.val) fnv_mix(h, std::bit_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
+struct BandedGolden {
+  int rows_per_rank, nranks, band, nnz_per_row;
+  std::uint64_t hash;
+};
+// Every rank's rows are hashed, so the edge rows (fewer valid columns, early
+// exit) are included; 8 x 1 with band 3 and 6 entries fills the band of its
+// interior rows completely.
+constexpr BandedGolden kBandedGolden[] = {
+    {8, 1, 3, 6, 0x2c0d5cc3022f4383},
+    {16, 3, 5, 8, 0x6213943d3c51fcc3},
+    {33, 2, 9, 12, 0x98b24ef69bc284ed},
+    {128, 4, 16, 8, 0xbb693eec8c4cd5ce},
+};
+
+}  // namespace
+
+TEST(Spmv, BandedMatrixIsBitIdenticalToGolden) {
+  for (const BandedGolden& g : kBandedGolden) {
+    SCOPED_TRACE("rows_per_rank=" + std::to_string(g.rows_per_rank) +
+                 " nranks=" + std::to_string(g.nranks));
+    da::SpmvConfig cfg;
+    cfg.rows_per_rank = g.rows_per_rank;
+    cfg.band = g.band;
+    cfg.nnz_per_row = g.nnz_per_row;
+    EXPECT_EQ(banded_matrix_hash(cfg, g.nranks), g.hash);
+  }
 }
 
 TEST(Spmv, InvalidConfigRejected) {

@@ -6,7 +6,8 @@
 //  * the packed link-index aliasing guard,
 //  * and the headline claim itself: a warmed-up fabric send/deliver cycle
 //    — and an MPI eager isend+irecv+wait cycle on top of it — performs ZERO
-//    heap allocations, verified by replacing operator new.
+//    heap allocations, verified by replacing operator new; so do the
+//    Cholesky tile kernels and factor_error that every cholesky job runs.
 //
 // This binary carries the ctest label `perf` (see scripts/run_chaos.sh,
 // which runs it under ASan as well).
@@ -18,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/cholesky.hpp"
 #include "cbp/gateway.hpp"
 #include "mpi/wire.hpp"
 #include "net/crossbar.hpp"
@@ -31,6 +33,7 @@
 
 #include "mpi_rig.hpp"
 
+namespace da = deep::apps;
 namespace dc = deep::cbp;
 namespace dm = deep::mpi;
 namespace dn = deep::net;
@@ -480,6 +483,24 @@ TEST(ZeroAllocation, WarmMpiEagerCycleDoesNotAllocate) {
 
 TEST(ZeroAllocation, WarmMpiEagerCycleWithMetricsDoesNotAllocate) {
   expect_warm_mpi_eager_cycle_alloc_free(/*with_metrics=*/true);
+}
+
+// The register-blocked Cholesky numerics keep their accumulators on the
+// stack: neither the factorisation (3 x 3 tiles run potrf, trsm, syrk and
+// gemm) nor factor_error touches the heap, at the service tile size (24)
+// and at sizes that leave every tail length of the row blocks.
+TEST(ZeroAllocation, CholeskyKernelsAndFactorErrorDoNotAllocate) {
+  for (const int ts : {1, 5, 24, 37}) {
+    SCOPED_TRACE("ts=" + std::to_string(ts));
+    da::TiledMatrix original(3, ts), factor(3, ts);
+    da::fill_spd(original, 5);
+    factor.storage() = original.storage();
+    const std::size_t before = g_allocs;
+    da::cholesky_reference(factor);
+    const double err = da::factor_error(factor, original);
+    EXPECT_EQ(g_allocs, before) << "Cholesky numerics allocated";
+    EXPECT_LT(err, 1e-9);
+  }
 }
 
 }  // namespace
