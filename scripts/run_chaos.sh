@@ -16,9 +16,12 @@
 # determinism, cross-topology sessions — label: topology) and the apps suite
 # (mini-app numerics, including the golden-bit checks of the pointer-walking
 # Cholesky kernels, whose blocked-loop tails are where an off-by-one would
-# hide — label: apps) ride along so the pooled hot path, the observability
-# layer, the threaded engine, the recovery path, the daemon, the swapped
-# fabrics and the app kernels are sanitised too.
+# hide — label: apps) and the front ends (deepsim and deepsimd, both of
+# which run jobs through svc::run_session: bad-flag exits, trace replay,
+# the wire protocol — label: cli) ride along so the pooled hot path, the
+# observability layer, the threaded engine, the recovery path, the daemon,
+# the swapped fabrics, the app kernels and the command lines are sanitised
+# too.
 #
 # Usage: scripts/run_chaos.sh [build-dir]
 #   default build dir: build-asan (configured from the `asan` CMake preset)
@@ -30,10 +33,10 @@ if [ ! -d "$BUILD" ]; then
   echo "== configuring $BUILD (asan preset) =="
   cmake --preset asan
 fi
-echo "== building chaos/netperf/obs/metrics/parallel/resiliency/service/topology/apps tests in $BUILD =="
+echo "== building chaos/netperf/obs/metrics/parallel/resiliency/service/topology/apps tests and the CLIs in $BUILD =="
 cmake --build "$BUILD" \
   --target chaos_test netperf_test obs_test metrics_test parallel_test \
-  resiliency_test service_test topology_test apps_test \
+  resiliency_test service_test topology_test apps_test deepsim deepsimd \
   -j "$(nproc)"
 
 # Guard against silently-empty suites: a typo'd or unregistered label would
@@ -41,7 +44,7 @@ cmake --build "$BUILD" \
 # must match at least one test.  `paper` (the E1..E9 shape-check benches) is
 # not run here — tier-1 ctest runs it — but its registration is checked too.
 echo "== verifying suite labels are populated =="
-for label in chaos perf metrics parallel resiliency service topology apps paper; do
+for label in chaos perf metrics parallel resiliency service topology apps cli paper; do
   count=$(ctest --test-dir "$BUILD" -N -L "$label" 2>/dev/null |
     sed -n 's/^Total Tests: *//p')
   if [ -z "$count" ] || [ "$count" -eq 0 ]; then
@@ -51,7 +54,7 @@ for label in chaos perf metrics parallel resiliency service topology apps paper;
   echo "   label '$label': $count test(s)"
 done
 
-echo "== running chaos + perf + metrics + parallel + resiliency + service + topology + apps suites =="
-ctest --test-dir "$BUILD" -L 'chaos|perf|metrics|parallel|resiliency|service|topology|apps' \
+echo "== running chaos + perf + metrics + parallel + resiliency + service + topology + apps + cli suites =="
+ctest --test-dir "$BUILD" -L 'chaos|perf|metrics|parallel|resiliency|service|topology|apps|cli' \
   -E 'bench_fabric_smoke|bench_micro_apps_smoke' --output-on-failure "$@"
 echo "chaos suite passed: sweeps replayed bit-identically (traces and metric snapshots)"

@@ -389,8 +389,8 @@ bool Engine::run_until(TimePoint t) {
     if (partitions() == 1) {
       while (!part0_.queue.empty() && part0_.queue.next_time() <= t)
         dispatch_one(part0_);
-      if (part0_.now < t) part0_.now = t;
       remaining = !part0_.queue.empty();
+      if (remaining && part0_.now < t) part0_.now = t;
     } else {
       remaining = run_windowed(t, /*bounded=*/true);
     }

@@ -286,9 +286,12 @@ class Engine {
   void run();
 
   /// Runs until `t` (events at exactly `t` included); returns true if events
-  /// remain afterwards.  If the queue drains before `t`, performs the same
-  /// deadlock detection as run() (throws SimError when non-daemon processes
-  /// are stuck) but leaves daemons alive so the caller can keep scheduling.
+  /// remain afterwards, with now() advanced to `t`.  If the queue drains
+  /// before `t`, now() stays at the last event, as after run(), so stepping a
+  /// run to completion in intervals ends at the same time as one run(); the
+  /// same deadlock detection as run() follows (throws SimError when
+  /// non-daemon processes are stuck) but daemons stay alive so the caller can
+  /// keep scheduling.
   bool run_until(TimePoint t);
 
   // -- partitioning -----------------------------------------------------------

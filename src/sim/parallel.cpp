@@ -353,8 +353,9 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
   if (proc_error) std::rethrow_exception(proc_error);
 
   // Align every partition clock to the committed end of the run so post-run
-  // now() and scheduling read one consistent time.
-  TimePoint final_now = bounded ? limit : TimePoint{};
+  // now() and scheduling read one consistent time.  A drained run ends at its
+  // last event, as an unbounded one does.
+  TimePoint final_now = events_remain ? limit : TimePoint{};
   for (std::uint32_t p = 0; p < P; ++p)
     if (partition(p).now > final_now) final_now = partition(p).now;
   for (std::uint32_t p = 0; p < P; ++p) {

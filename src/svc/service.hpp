@@ -56,7 +56,7 @@ struct JobResult {
 class Service {
  public:
   explicit Service(ServiceConfig cfg);
-  ~Service();  // drains the queue, joins the workers
+  ~Service();  // drains the queue, joins the workers, trims the heap
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 

@@ -25,6 +25,10 @@ namespace {
 
 constexpr mpi::Tag kResTag = 50;
 
+/// Runs a launched workload to completion in place of system.run() when set
+/// (session.hpp).
+using Drive = std::function<void(sys::DeepSystem&)>;
+
 /// What a workload driver reports back: did verification pass, what was the
 /// scalar result, how many ranks bailed out on a surfaced message loss.
 struct WorkloadOutcome {
@@ -47,10 +51,9 @@ auto guarded(std::shared_ptr<int> errors, Body body) {
   };
 }
 
-/// stencil: coupled driver (cluster) + Jacobi HSCP (booster).  Quiet
-/// version of the deepsim CLI workload.
+/// stencil: coupled driver (cluster) + Jacobi HSCP (booster).
 void run_stencil(sys::DeepSystem& system, const JobSpec& spec,
-                 WorkloadOutcome& out) {
+                 WorkloadOutcome& out, const Drive& drive) {
   apps::StencilConfig scfg;
   scfg.nx = 256;
   scfg.rows = 64;
@@ -82,12 +85,12 @@ void run_stencil(sys::DeepSystem& system, const JobSpec& spec,
         out.verified = checksum > 0;
       }));
   system.launch("main", 1);
-  system.run();
+  drive ? drive(system) : system.run();
 }
 
 /// cholesky: offloaded OmpSs factorisation, verified against the input.
 void run_cholesky(sys::DeepSystem& system, const JobSpec& spec,
-                  WorkloadOutcome& out) {
+                  WorkloadOutcome& out, const Drive& drive) {
   const int nt = 8, ts = 24;
   system.kernels().add(
       "cholesky", [nt, ts](std::span<const std::byte> in, mpi::Mpi& mpi) {
@@ -123,12 +126,12 @@ void run_cholesky(sys::DeepSystem& system, const JobSpec& spec,
         out.verified = err < 1e-8;
       }));
   system.launch("main", 1);
-  system.run();
+  drive ? drive(system) : system.run();
 }
 
 /// nbody: spawned compute-bound HSCP, momentum-conservation check.
 void run_nbody(sys::DeepSystem& system, const JobSpec& spec,
-               WorkloadOutcome& out) {
+               WorkloadOutcome& out, const Drive& drive) {
   apps::NBodyConfig cfg;
   cfg.bodies_per_rank = 32;
   cfg.steps = spec.steps;
@@ -151,12 +154,12 @@ void run_nbody(sys::DeepSystem& system, const JobSpec& spec,
         out.verified = std::abs(res[0]) < 1e-9 && res[1] > 0;
       }));
   system.launch("main", 1);
-  system.run();
+  drive ? drive(system) : system.run();
 }
 
 /// spmv: spawned banded power iteration, Rayleigh-quotient check.
 void run_spmv(sys::DeepSystem& system, const JobSpec& spec,
-              WorkloadOutcome& out) {
+              WorkloadOutcome& out, const Drive& drive) {
   apps::SpmvConfig cfg;
   cfg.rows_per_rank = 256;
   cfg.iterations = std::max(2, spec.steps);
@@ -179,7 +182,7 @@ void run_spmv(sys::DeepSystem& system, const JobSpec& spec,
         out.verified = res[0] > 0;
       }));
   system.launch("main", 1);
-  system.run();
+  drive ? drive(system) : system.run();
 }
 
 }  // namespace
@@ -225,7 +228,7 @@ SessionResult SessionResult::from_json(const Json& j) {
   return r;
 }
 
-SessionResult run_session(const JobSpec& spec) {
+SessionResult run_session(const JobSpec& spec, const Drive& drive) {
   // Claim an isolated pool-shard range for this session's whole lifetime:
   // construction, run and teardown must all resolve through it.  On slot
   // exhaustion (caller exceeded the documented concurrency bound) the run
@@ -239,13 +242,13 @@ SessionResult run_session(const JobSpec& spec) {
     WorkloadOutcome out;
     try {
       if (spec.workload == "stencil") {
-        run_stencil(system, spec, out);
+        run_stencil(system, spec, out, drive);
       } else if (spec.workload == "cholesky") {
-        run_cholesky(system, spec, out);
+        run_cholesky(system, spec, out, drive);
       } else if (spec.workload == "nbody") {
-        run_nbody(system, spec, out);
+        run_nbody(system, spec, out, drive);
       } else {
-        run_spmv(system, spec, out);
+        run_spmv(system, spec, out, drive);
       }
     } catch (const util::SimError& e) {
       result.error = e.what();  // deadlock report: deterministic text

@@ -13,9 +13,14 @@
 // job-failure — a worker never dies with its job.
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "svc/jobspec.hpp"
+
+namespace deep::sys {
+class DeepSystem;
+}
 
 namespace deep::svc {
 
@@ -46,6 +51,11 @@ struct SessionResult {
 
 /// Runs the job a validated spec describes, in an isolated session, and
 /// never throws: every failure mode is folded into the result.
-SessionResult run_session(const JobSpec& spec);
+/// `drive`, when set, replaces `system.run()` after the workload launched
+/// and must run the engine to completion: a front end attaches a tracer,
+/// steps the engine to sample metrics or reads the registry through it.
+SessionResult run_session(
+    const JobSpec& spec,
+    const std::function<void(sys::DeepSystem&)>& drive = {});
 
 }  // namespace deep::svc

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "sim/trace.hpp"
 #include "svc/cache.hpp"
 #include "svc/jobspec.hpp"
 #include "svc/service.hpp"
@@ -93,6 +94,29 @@ TEST(ServiceReentrancy, AllWorkloadsRunTwiceIdentically) {
     const dsv::SessionResult b = dsv::run_session(spec);
     ASSERT_TRUE(a.ok) << w << ": " << a.error;
     EXPECT_EQ(a.fingerprint(), b.fingerprint()) << w;
+  }
+}
+
+// A front end's drive (the deepsim CLI attaches a tracer and samples
+// metrics between run_until steps) observes the run without changing it.
+TEST(Session, SteppedDriveWithTracerKeepsFingerprint) {
+  for (const char* w : {"stencil", "spmv", "nbody", "cholesky"}) {
+    const dsv::JobSpec spec = small_spec(w, 5);
+    deep::sim::Tracer tracer;
+    int steps = 0;
+    const dsv::SessionResult stepped =
+        dsv::run_session(spec, [&](dsy::DeepSystem& system) {
+          deep::sim::Engine& engine = system.engine();
+          engine.set_tracer(&tracer);
+          const deep::sim::Duration step = deep::sim::from_micros(200);
+          for (bool more = true; more; ++steps)
+            more = engine.run_until(engine.now() + step);
+        });
+    const dsv::SessionResult plain = dsv::run_session(spec);
+    ASSERT_TRUE(plain.ok) << w << ": " << plain.error;
+    EXPECT_GT(steps, 1) << w;
+    EXPECT_GT(tracer.num_events(), 0u) << w;
+    EXPECT_EQ(stepped.fingerprint(), plain.fingerprint()) << w;
   }
 }
 

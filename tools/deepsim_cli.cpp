@@ -1,453 +1,239 @@
-// deepsim — command-line driver for the simulated DEEP machine.
+// deepsim — command-line front end for the simulated DEEP machine.
 //
-// Builds a system from command-line options, runs one of the bundled
-// workloads, and prints the system report (optionally a Perfetto trace).
+// Parses its flags (`deepsim --help` lists them) into a svc::JobSpec,
+// validates it the way the service does, and runs it through
+// svc::run_session — the workload drivers deepsimd serves.  Prints a
+// one-line result, optionally the system report, a Chrome/Perfetto trace
+// and a metrics snapshot or time series.
 //
-//   deepsim [options]
-//     --cluster N          cluster nodes                  (default 4)
-//     --booster N          booster nodes                  (default 8)
-//     --gateways N         Booster Interface nodes        (default 2)
-//     --workload NAME      stencil|cholesky|nbody|spmv    (default stencil)
-//     --procs N            HSCP width (booster ranks)     (default 4)
-//     --steps N            coupling steps / iterations    (default 3)
-//     --static-partitions  use static booster partitioning
-//     --workers N|auto     engine worker threads; `auto` uses one per
-//                          host core, clamped to the partition count
-//                                                        (default 1)
-//     --partitions N|auto  engine partitions: the booster torus splits
-//                          into N-1 topology blocks, the cluster side
-//                          stays on partition 0; `auto` derives N from
-//                          the host's core count        (default 1)
-//     --wallclock-metrics  record per-worker barrier-wait histograms
-//                          (wall clock, hence non-deterministic)
-//     --trace FILE         write a Chrome/Perfetto trace
-//     --report             print the full system report
-//     --metrics-out FILE   write a metrics snapshot (.json or .csv)
-//     --metrics-interval US  sample metrics every US microseconds of
-//                          simulated time (turns a .csv output into a
-//                          wide time-series table)
-//     --help
-//
-// Exit code 0 on success (workload-specific verification included).
+// Exit codes: 0 when the run completed and the workload verified; 2 on an
+// unknown flag, a missing or non-integer value, or a spec the service would
+// reject (printed as `code field: message`); 1 when the session failed
+// (simulation error, failed verification, unwritable output file).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <functional>
-#include <iostream>
 #include <string>
 #include <thread>
 
-#include "apps/cholesky.hpp"
-#include "apps/nbody.hpp"
-#include "apps/spmv.hpp"
-#include "apps/stencil.hpp"
+#include "cli_args.hpp"
 #include "obs/metrics.hpp"
-#include "ompss/offload.hpp"
 #include "sim/trace.hpp"
-#include "svc/service.hpp"
-#include "sys/report.hpp"
+#include "svc/session.hpp"
 #include "sys/system.hpp"
 #include "util/csv.hpp"
 
-namespace da = deep::apps;
-namespace dm = deep::mpi;
-namespace dos = deep::ompss;
 namespace ds = deep::sim;
+namespace dsv = deep::svc;
 namespace dsy = deep::sys;
+namespace dt = deep::tools;
 
 namespace {
 
-struct Options {
-  int cluster = 4;
-  int booster = 8;
-  int gateways = 2;
-  std::string topology = "deep";  // deep | fattree | dragonfly
-  bool adaptive = false;
-  std::string workload = "stencil";
-  int procs = 4;
-  int steps = 3;
-  std::string workers = "1";     // integer or "auto"
-  std::string partitions = "1";  // integer or "auto"
+/// What the CLI does with a run besides simulating it.
+struct Outputs {
+  bool auto_workers = false;
+  bool auto_partitions = false;
   bool wallclock_metrics = false;
-  bool static_partitions = false;
-  std::string trace_file;
   bool report = false;
+  std::string trace_file;
   std::string metrics_file;
   long metrics_interval_us = 0;  // 0 = final snapshot only
-  bool serve = false;            // line-delimited JSON service loop
 };
 
 void usage() {
   std::puts(
       "deepsim — simulated DEEP cluster-booster machine\n"
-      "  --cluster N   --booster N   --gateways N\n"
-      "  --topology deep|fattree|dragonfly (booster fabric; default deep)\n"
-      "  --adaptive (congestion-aware routing on fattree/dragonfly)\n"
-      "  --workload stencil|cholesky|nbody|spmv   --procs N   --steps N\n"
-      "  --static-partitions   --workers N|auto   --partitions N|auto\n"
-      "  --wallclock-metrics   --trace FILE   --report\n"
-      "  --metrics-out FILE (.json|.csv)   --metrics-interval US\n"
-      "  --serve (line-delimited JSON service on stdin/stdout; deepsimd is\n"
-      "           the full daemon)   --help");
+      "  --cluster N          cluster nodes                      (4)\n"
+      "  --booster N          booster nodes                      (8)\n"
+      "  --gateways N         Booster Interface nodes            (2)\n"
+      "  --topology NAME      deep|fattree|dragonfly booster fabric (deep)\n"
+      "  --adaptive           congestion-aware fattree/dragonfly routing\n"
+      "  --workload NAME      stencil|cholesky|nbody|spmv        (stencil)\n"
+      "  --procs N            HSCP width (booster ranks)         (4)\n"
+      "  --steps N            coupling steps / iterations        (3)\n"
+      "  --workers N|auto     engine worker threads; auto: one per host\n"
+      "                       core, clamped to the partitions    (1)\n"
+      "  --partitions N|auto  engine partitions: the booster torus splits\n"
+      "                       into N-1 blocks, the cluster stays on\n"
+      "                       partition 0; auto: from the host cores (1)\n"
+      "  --wallclock-metrics  per-worker barrier-wait histograms (wall\n"
+      "                       clock, hence non-deterministic)\n"
+      "  --trace FILE         write a Chrome/Perfetto trace\n"
+      "  --report             print the full system report\n"
+      "  --metrics-out FILE   write a metrics snapshot (.json or .csv)\n"
+      "  --metrics-interval US  sample metrics every US microseconds of\n"
+      "                       simulated time (a .csv output becomes a\n"
+      "                       wide time series)\n"
+      "  --help\n"
+      "exit 0 on a verified run, 2 on a bad flag or a rejected spec, 1 on a\n"
+      "failed run");
 }
 
-bool parse(int argc, char** argv, Options& opt) {
+/// Fills `spec` and `out` from argv; false on --help, an unknown flag or a
+/// missing or malformed value.
+bool parse(int argc, char** argv, dsv::JobSpec& spec, Outputs& out) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+    // Flags that take a value consume it; a missing one fails the parse.
+    auto text = [&](std::string& dst) {
+      if (value != nullptr) dst = argv[++i];
+      return value != nullptr;
     };
-    if (arg == "--help") return false;
-    if (arg == "--serve") {
-      opt.serve = true;
-    } else if (arg == "--report") {
-      opt.report = true;
-    } else if (arg == "--static-partitions") {
-      opt.static_partitions = true;
-    } else if (arg == "--cluster") {
-      opt.cluster = std::atoi(next());
-    } else if (arg == "--booster") {
-      opt.booster = std::atoi(next());
-    } else if (arg == "--gateways") {
-      opt.gateways = std::atoi(next());
-    } else if (arg == "--topology") {
-      opt.topology = next();
+    auto number = [&](auto& dst) {
+      const bool ok = dt::parse_int(value, dst);
+      if (ok) ++i;
+      return ok;
+    };
+    auto count_or_auto = [&](int& dst, bool& is_auto) {
+      is_auto = value != nullptr && std::string(value) == "auto";
+      if (is_auto) ++i;
+      return is_auto || number(dst);
+    };
+    bool ok = true;
+    if (arg == "--report") {
+      out.report = true;
     } else if (arg == "--adaptive") {
-      opt.adaptive = true;
-    } else if (arg == "--procs") {
-      opt.procs = std::atoi(next());
-    } else if (arg == "--steps") {
-      opt.steps = std::atoi(next());
-    } else if (arg == "--workers") {
-      opt.workers = next();
-    } else if (arg == "--partitions") {
-      opt.partitions = next();
+      spec.adaptive = true;
     } else if (arg == "--wallclock-metrics") {
-      opt.wallclock_metrics = true;
+      out.wallclock_metrics = true;
+    } else if (arg == "--cluster") {
+      ok = number(spec.cluster);
+    } else if (arg == "--booster") {
+      ok = number(spec.booster);
+    } else if (arg == "--gateways") {
+      ok = number(spec.gateways);
+    } else if (arg == "--procs") {
+      ok = number(spec.procs);
+    } else if (arg == "--steps") {
+      ok = number(spec.steps);
+    } else if (arg == "--topology") {
+      ok = text(spec.topology);
     } else if (arg == "--workload") {
-      opt.workload = next();
+      ok = text(spec.workload);
+    } else if (arg == "--workers") {
+      ok = count_or_auto(spec.workers, out.auto_workers);
+    } else if (arg == "--partitions") {
+      ok = count_or_auto(spec.partitions, out.auto_partitions);
     } else if (arg == "--trace") {
-      opt.trace_file = next();
+      ok = text(out.trace_file);
     } else if (arg == "--metrics-out") {
-      opt.metrics_file = next();
+      ok = text(out.metrics_file);
     } else if (arg == "--metrics-interval") {
-      opt.metrics_interval_us = std::atol(next());
+      ok = number(out.metrics_interval_us);
+    } else if (arg == "--help") {
+      return false;
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "option '%s' needs %s\n", arg.c_str(),
+                   value == nullptr ? "a value" : "an integer value");
       return false;
     }
   }
   return true;
 }
 
-constexpr dm::Tag kResTag = 50;
-
-/// stencil: coupled driver (cluster) + Jacobi HSCP (booster).
-bool run_stencil(dsy::DeepSystem& system, const Options& opt,
-                const std::function<void()>& drive) {
-  da::StencilConfig scfg;
-  scfg.nx = 256;
-  scfg.rows = 64;
-  scfg.iterations = 10;
-  system.programs().add("hscp", [&, scfg](dsy::ProgramEnv& env) {
-    dm::Mpi& mpi = env.mpi;
-    for (int s = 0; s < opt.steps; ++s) {
-      const auto res = da::run_jacobi(mpi, mpi.world(), scfg);
-      if (mpi.rank() == 0) {
-        const double out[1] = {res.checksum};
-        mpi.send<double>(*mpi.parent(), 0, kResTag,
-                         std::span<const double>(out, 1));
-      }
-    }
-  });
-  bool ok = false;
-  system.programs().add("main", [&](dsy::ProgramEnv& env) {
-    auto inter = env.mpi.comm_spawn(env.mpi.world(), 0, "hscp", {}, opt.procs);
-    double checksum = 0;
-    for (int s = 0; s < opt.steps; ++s) {
-      env.mpi.compute({1e9, 0, 0.05}, env.mpi.node().spec().cores);
-      double res[1];
-      env.mpi.recv<double>(inter, 0, kResTag, res);
-      checksum = res[0];
-    }
-    std::printf("stencil: %d steps, final checksum %.6f\n", opt.steps, checksum);
-    ok = checksum > 0;
-  });
-  system.launch("main", 1);
-  drive();
-  return ok;
-}
-
-/// cholesky: offloaded OmpSs factorisation, verified.
-bool run_cholesky(dsy::DeepSystem& system, const Options& opt,
-                 const std::function<void()>& drive) {
-  const int nt = 8, ts = 24;
-  system.kernels().add(
-      "cholesky", [nt, ts](std::span<const std::byte> in, dm::Mpi& mpi) {
-        if (mpi.rank() != 0) return std::vector<std::byte>{};
-        da::TiledMatrix a(nt, ts);
-        std::memcpy(a.storage().data(), in.data(), in.size());
-        dos::Runtime rt(mpi.ctx(), mpi.node());
-        da::submit_cholesky_tasks(rt, a);
-        rt.taskwait();
-        std::vector<std::byte> out(in.size());
-        std::memcpy(out.data(), a.storage().data(), out.size());
-        return out;
-      });
-  system.programs().add("server", [&system](dsy::ProgramEnv& env) {
-    dos::offload_server(env.mpi, system.kernels());
-  });
-  bool ok = false;
-  system.programs().add("main", [&](dsy::ProgramEnv& env) {
-    auto inter =
-        env.mpi.comm_spawn(env.mpi.world(), 0, "server", {}, opt.procs);
-    da::TiledMatrix original(nt, ts), factor(nt, ts);
-    da::fill_spd(original, 1);
-    for (int s = 0; s < opt.steps; ++s) {
-      auto reply = dos::offload_invoke(
-          env.mpi, inter, "cholesky",
-          std::as_bytes(std::span<const double>(original.storage())));
-      std::memcpy(factor.storage().data(), reply.data(), reply.size());
-    }
-    dos::offload_shutdown(env.mpi, inter);
-    const double err = da::factor_error(factor, original);
-    std::printf("cholesky: %d offloads, max |L*L^T - A| = %.3e\n", opt.steps,
-                err);
-    ok = err < 1e-8;
-  });
-  system.launch("main", 1);
-  drive();
-  return ok;
-}
-
-/// nbody: spawned compute-bound HSCP, momentum check.
-bool run_nbody(dsy::DeepSystem& system, const Options& opt,
-              const std::function<void()>& drive) {
-  da::NBodyConfig cfg;
-  cfg.bodies_per_rank = 32;
-  cfg.steps = opt.steps;
-  bool ok = false;
-  system.programs().add("hscp", [&, cfg](dsy::ProgramEnv& env) {
-    const auto r = da::run_nbody(env.mpi, env.mpi.world(), cfg);
-    if (env.mpi.rank() == 0) {
-      const double out[2] = {r.momentum[0], r.checksum};
-      env.mpi.send<double>(*env.mpi.parent(), 0, kResTag,
-                           std::span<const double>(out, 2));
-    }
-  });
-  system.programs().add("main", [&](dsy::ProgramEnv& env) {
-    auto inter = env.mpi.comm_spawn(env.mpi.world(), 0, "hscp", {}, opt.procs);
-    double res[2];
-    env.mpi.recv<double>(inter, 0, kResTag, res);
-    std::printf("nbody: %d steps, |px| = %.2e, checksum %.4f\n", opt.steps,
-                std::abs(res[0]), res[1]);
-    ok = std::abs(res[0]) < 1e-9 && res[1] > 0;
-  });
-  system.launch("main", 1);
-  drive();
-  return ok;
-}
-
-/// spmv: spawned banded power iteration, Rayleigh-quotient check.
-bool run_spmv(dsy::DeepSystem& system, const Options& opt,
-             const std::function<void()>& drive) {
-  da::SpmvConfig cfg;
-  cfg.rows_per_rank = 256;
-  cfg.iterations = std::max(2, opt.steps);
-  bool ok = false;
-  system.programs().add("hscp", [&, cfg](dsy::ProgramEnv& env) {
-    const auto r = da::run_spmv_power(env.mpi, env.mpi.world(), cfg);
-    if (env.mpi.rank() == 0) {
-      const double out[2] = {r.eigenvalue, r.checksum};
-      env.mpi.send<double>(*env.mpi.parent(), 0, kResTag,
-                           std::span<const double>(out, 2));
-    }
-  });
-  system.programs().add("main", [&](dsy::ProgramEnv& env) {
-    auto inter = env.mpi.comm_spawn(env.mpi.world(), 0, "hscp", {}, opt.procs);
-    double res[2];
-    env.mpi.recv<double>(inter, 0, kResTag, res);
-    std::printf("spmv: eigenvalue estimate %.6f, checksum %.6f\n", res[0],
-                res[1]);
-    ok = res[0] > 0;
-  });
-  system.launch("main", 1);
-  drive();
-  return ok;
+/// Resolves `auto` worker and partition counts against the host.
+void resolve_auto(dsv::JobSpec& spec, const Outputs& out) {
+  const int host = static_cast<int>(std::thread::hardware_concurrency());
+  if (out.auto_partitions) {
+    // One partition per available core (the booster blocks parallelise;
+    // partition 0 carries the cluster side), capped so tiny machines do not
+    // get sliced thinner than their booster.
+    spec.partitions = std::max(1, std::min({host, 1 + spec.booster, 8}));
+    std::printf("auto partitions: %d (host cpus %d)\n", spec.partitions, host);
+  }
+  if (out.auto_workers) {
+    // One worker per host core, clamped to the partition count — extra
+    // workers would only park at the window barriers.
+    spec.workers = dsy::auto_workers(host, spec.partitions);
+    std::printf("auto workers: %d (host cpus %d, %d partitions)\n",
+                spec.workers, host, spec.partitions);
+  }
 }
 
 }  // namespace
 
-/// Minimal synchronous service loop: one request per line, one response per
-/// line, jobs run one at a time.  deepsimd is the pipelined daemon with
-/// socket support and fork-per-job mode; this keeps one-off scripted use
-/// ("pipe specs through deepsim") dependency-free.
-int serve_loop() {
-  namespace dsv = deep::svc;
-  dsv::Service service(dsv::ServiceConfig{});
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    const dsv::ParseResult parsed = dsv::Json::parse(line);
-    const dsv::Json* op = parsed.ok ? parsed.value.find("op") : nullptr;
-    const std::string op_name =
-        op != nullptr && op->is_string() ? op->as_string() : "";
-    if (op_name == "run") {
-      const dsv::Json* spec = parsed.value.find("spec");
-      const dsv::JobResult r =
-          service.run(spec != nullptr ? spec->dump() : "null");
-      std::cout << r.to_json().dump() << '\n' << std::flush;
-    } else if (op_name == "stats") {
-      dsv::Json j = dsv::Json::object();
-      j.set("status", "ok");
-      j.set("stats", service.stats_json());
-      std::cout << j.dump() << '\n' << std::flush;
-    } else if (op_name == "quit") {
-      std::cout << "{\"status\":\"ok\"}\n" << std::flush;
-      break;
-    } else {
-      dsv::Json err = dsv::Json::object();
-      err.set("status", "rejected");
-      err.set("reject", dsv::Reject{"bad_op", "op",
-                                    "expected \"run\", \"stats\" or \"quit\""}
-                            .to_json());
-      std::cout << err.dump() << '\n' << std::flush;
-    }
-  }
-  return 0;
-}
-
 int main(int argc, char** argv) {
-  Options opt;
-  if (!parse(argc, argv, opt)) {
+  dsv::JobSpec spec;
+  Outputs out;
+  if (!parse(argc, argv, spec, out)) {
     usage();
     return 2;
   }
-  if (opt.serve) return serve_loop();
-
-  dsy::SystemConfig config;
-  if (!dsy::parse_topology(opt.topology, config.topology)) {
-    std::fprintf(stderr,
-                 "unknown topology '%s' (expected deep|fattree|dragonfly)\n",
-                 opt.topology.c_str());
+  resolve_auto(spec, out);
+  spec.metrics = !out.metrics_file.empty() || out.metrics_interval_us > 0;
+  dsv::Reject reject;
+  if (!spec.validate(reject)) {
+    std::fprintf(stderr, "%s %s: %s\n", reject.code.c_str(),
+                 reject.field.c_str(), reject.message.c_str());
     return 2;
   }
-  config.adaptive_routing = opt.adaptive;
-  config.cluster_nodes = opt.cluster;
-  config.booster_nodes = opt.booster;
-  config.gateways = opt.gateways;
-  config.metrics.enabled =
-      !opt.metrics_file.empty() || opt.metrics_interval_us > 0;
-  if (opt.partitions == "auto") {
-    // One partition per available core (the booster blocks parallelise;
-    // partition 0 carries the cluster side), capped so tiny machines do not
-    // get sliced thinner than their booster.
-    const int host = static_cast<int>(std::thread::hardware_concurrency());
-    config.partitions =
-        std::max(1, std::min({host, 1 + opt.booster, 8}));
-    std::printf("auto partitions: %d (host cpus %d)\n", config.partitions,
-                host);
-  } else {
-    config.partitions = std::atoi(opt.partitions.c_str());
-    if (config.partitions < 1) {
-      std::fprintf(stderr, "--partitions must be >= 1 or 'auto'\n");
-      return 2;
-    }
-  }
-  if (opt.workers == "auto") {
-    // One worker per host core, clamped to the partition count — extra
-    // workers would only park at the window barriers.
-    const int host = static_cast<int>(std::thread::hardware_concurrency());
-    config.workers = dsy::auto_workers(host, config.partitions);
-    std::printf("auto workers: %d (host cpus %d, %d partitions)\n",
-                config.workers, host, config.partitions);
-  } else {
-    config.workers = std::atoi(opt.workers.c_str());
-    if (config.workers < 1) {
-      std::fprintf(stderr, "--workers must be >= 1 or 'auto'\n");
-      return 2;
-    }
-  }
-  if (opt.static_partitions)
-    config.alloc_policy = dsy::AllocPolicy::StaticPartition;
-  dsy::DeepSystem system(config);
-  if (opt.wallclock_metrics) system.engine().set_wallclock_metrics(true);
 
+  // The drive captures what the session's result does not carry while the
+  // system is alive.  Periodic sampling cannot self-reschedule engine events
+  // (run() would never drain the queue), so it steps the engine one interval
+  // at a time and snapshots the registry between steps.
+  const bool csv = out.metrics_file.ends_with(".csv");
   ds::Tracer tracer;
-  if (!opt.trace_file.empty()) system.engine().set_tracer(&tracer);
-
-  // Periodic sampling cannot self-reschedule engine events (the queue would
-  // never drain and run() would not terminate), so the workloads call this
-  // driver instead of system.run(): it steps the engine one interval at a
-  // time and snapshots the registry between steps.
-  deep::util::Table samples(
-      opt.metrics_interval_us > 0 && system.metrics() != nullptr
-          ? system.metrics()->sample_columns()
-          : std::vector<std::string>{"time_ps"});
-  const std::function<void()> drive = [&] {
-    if (opt.metrics_interval_us <= 0 || system.metrics() == nullptr) {
+  std::string metrics_csv;
+  std::size_t instruments = 0;
+  const auto drive = [&](dsy::DeepSystem& system) {
+    ds::Engine& engine = system.engine();
+    if (out.wallclock_metrics) engine.set_wallclock_metrics(true);
+    if (!out.trace_file.empty()) engine.set_tracer(&tracer);
+    deep::obs::Registry* metrics = system.metrics();
+    if (out.metrics_interval_us > 0 && metrics != nullptr) {
+      // One row per interval, stamped with its boundary: the last one may
+      // lie past the final event, where the engine clock stops.
+      deep::util::Table samples(metrics->sample_columns());
+      const ds::Duration step =
+          ds::from_micros(static_cast<double>(out.metrics_interval_us));
+      for (ds::TimePoint t = engine.now() + step;; t = t + step) {
+        const bool more = engine.run_until(t);
+        metrics->append_sample(samples, t);
+        if (!more) break;
+      }
+      metrics_csv = samples.to_csv();
+    } else {
       system.run();
-      return;
+      if (metrics != nullptr && csv)
+        metrics_csv = metrics->to_csv_table().to_csv();
     }
-    const ds::Duration step =
-        ds::from_micros(static_cast<double>(opt.metrics_interval_us));
-    bool more = true;
-    while (more) {
-      more = system.engine().run_until(system.engine().now() + step);
-      system.metrics()->append_sample(samples, system.engine().now());
-    }
+    if (metrics != nullptr) instruments = metrics->size();
   };
 
-  bool ok = false;
-  try {
-    if (opt.workload == "stencil") {
-      ok = run_stencil(system, opt, drive);
-    } else if (opt.workload == "cholesky") {
-      ok = run_cholesky(system, opt, drive);
-    } else if (opt.workload == "nbody") {
-      ok = run_nbody(system, opt, drive);
-    } else if (opt.workload == "spmv") {
-      ok = run_spmv(system, opt, drive);
-    } else {
-      std::fprintf(stderr, "unknown workload '%s'\n", opt.workload.c_str());
-      usage();
-      return 2;
-    }
-  } catch (const deep::util::SimError& e) {
-    std::fprintf(stderr, "simulation failed: %s\n", e.what());
+  const dsv::SessionResult r = dsv::run_session(spec, drive);
+  if (!r.error.empty()) {
+    std::fprintf(stderr, "simulation failed: %s\n", r.error.c_str());
     return 1;
   }
-
-  std::printf("simulated %s, %zu events\n", system.engine().now().str().c_str(),
-              system.engine().events_executed());
-  if (opt.report) std::printf("\n%s", dsy::format_report(system).c_str());
-  if (!opt.trace_file.empty()) {
-    tracer.write_chrome_json(opt.trace_file);
-    std::printf("trace written to %s (%zu events)\n", opt.trace_file.c_str(),
+  std::printf("%s: %d steps, checksum %.6g\n", spec.workload.c_str(),
+              spec.steps, r.checksum);
+  std::printf("simulated %s, %llu events\n",
+              ds::TimePoint{r.final_ps}.str().c_str(),
+              static_cast<unsigned long long>(r.events));
+  if (out.report) std::printf("\n%s", r.report.c_str());
+  if (!out.trace_file.empty()) {
+    tracer.write_chrome_json(out.trace_file);
+    std::printf("trace written to %s (%zu events)\n", out.trace_file.c_str(),
                 tracer.num_events());
   }
-  if (!opt.metrics_file.empty() && system.metrics() != nullptr) {
-    std::ofstream out(opt.metrics_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", opt.metrics_file.c_str());
+  if (!out.metrics_file.empty()) {
+    std::ofstream file(out.metrics_file);
+    if (!file) {
+      std::fprintf(stderr, "cannot write %s\n", out.metrics_file.c_str());
       return 1;
     }
-    const bool csv = opt.metrics_file.size() >= 4 &&
-                     opt.metrics_file.compare(opt.metrics_file.size() - 4, 4,
-                                              ".csv") == 0;
-    if (csv && opt.metrics_interval_us > 0) {
-      out << samples.to_csv();  // wide time series, one row per interval
-    } else if (csv) {
-      out << system.metrics()->to_csv_table().to_csv();
-    } else {
-      out << system.metrics()->to_json() << '\n';
-    }
+    file << (csv ? metrics_csv : r.metrics_json + '\n');
     std::printf("metrics written to %s (%zu instruments)\n",
-                opt.metrics_file.c_str(), system.metrics()->size());
+                out.metrics_file.c_str(), instruments);
   }
-  std::printf("%s\n", ok ? "OK" : "FAILED");
-  return ok ? 0 : 1;
+  std::printf("%s\n", r.ok ? "OK" : "FAILED");
+  return r.ok ? 0 : 1;
 }

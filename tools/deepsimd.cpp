@@ -32,7 +32,6 @@
 
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <iostream>
@@ -41,9 +40,11 @@
 #include <string>
 #include <thread>
 
+#include "cli_args.hpp"
 #include "svc/service.hpp"
 
 namespace dsv = deep::svc;
+namespace dt = deep::tools;
 
 namespace {
 
@@ -61,28 +62,32 @@ void usage() {
       "  {\"op\":\"run\",\"spec\":{...}}  {\"op\":\"stats\"}  {\"op\":\"quit\"}");
 }
 
+/// Fills `opt` from argv; false on --help, an unknown flag or a missing or
+/// non-integer value.
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
     if (arg == "--help") return false;
-    if (arg == "--workers") {
-      opt.service.workers = std::atoi(next());
-      opt.service.fork_per_job = false;
-    } else if (arg == "--workers-procs") {
-      opt.service.workers = std::atoi(next());
-      opt.service.fork_per_job = true;
+    // Every other option takes a value.
+    const char* value = i + 1 < argc ? argv[++i] : nullptr;
+    bool ok = true;
+    if (arg == "--workers" || arg == "--workers-procs") {
+      ok = dt::parse_int(value, opt.service.workers);
+      opt.service.fork_per_job = arg == "--workers-procs";
     } else if (arg == "--queue") {
-      opt.service.queue_capacity =
-          static_cast<std::size_t>(std::atol(next()));
+      ok = dt::parse_int(value, opt.service.queue_capacity);
     } else if (arg == "--cache") {
-      opt.service.cache_entries = static_cast<std::size_t>(std::atol(next()));
+      ok = dt::parse_int(value, opt.service.cache_entries);
     } else if (arg == "--socket") {
-      opt.socket_path = next();
+      ok = value != nullptr;
+      if (ok) opt.socket_path = value;
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "option '%s' needs %s\n", arg.c_str(),
+                   value == nullptr ? "a value" : "an integer value");
       return false;
     }
   }
