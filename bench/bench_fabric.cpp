@@ -1,13 +1,14 @@
 // Micro-benchmarks of the per-message hot path (wall-clock, via
 // google-benchmark): fabric send/delivery cost on the torus and crossbar,
-// CBP gateway bridging, and the MPI eager path end to end.  These are the
-// numbers behind results/BENCH_fabric.json (scripts/run_bench_fabric.sh):
-// the simulator's cost-per-message is the scaling ceiling for booster-style
-// many-small-message traffic, so this file guards it against regressions.
+// CBP gateway bridging, and the MPI eager path end to end.  The simulator's
+// cost-per-message is the scaling ceiling for booster-style
+// many-small-message traffic; perfbench's per-layer rows (docs/perf.md)
+// track the same paths with a history, and this binary is for profiling
+// them by hand.
 //
 // The *_Metrics variants run the identical workload with an obs::Registry
-// attached to the engine; scripts/run_bench_fabric.sh --with-metrics divides
-// the two to record the observability overhead (budget: < 5%).
+// attached to the engine; the ratio of the two is the observability
+// overhead (budget: < 5%; perfbench's obs.metrics_overhead row).
 
 #include <benchmark/benchmark.h>
 

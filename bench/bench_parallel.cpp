@@ -23,19 +23,18 @@
 // The acceptance claims are (a) bit-identical outcomes at every worker
 // count, checked here via (events, final time, per-partition sinks), and
 // (b) wall-clock speedup on multi-core hosts — gated by
-// scripts/check_bench_parallel.sh against baseline.speedup_floor, skipped
-// when the host has fewer cores than the gate's worker count.
+// `scripts/check_bench.py parallel` against the speedup floor of
+// results/BENCH_parallel.json, waived when the host has fewer cores than
+// the gate's worker count (outside CI).
 //
-// Prints the table; --json PATH additionally records the machine-readable
-// result (scripts/run_bench_parallel.sh writes results/BENCH_parallel.json).
-// host_cpus and "undersubscribed" are recorded because speedup is bounded
-// by physical cores: on a 1-CPU container every worker count must take
-// about the same wall-clock.
+// Prints the table; --json PATH additionally records the result rows
+// (bench/common.hpp).  host_cpus and "undersubscribed" are recorded because
+// speedup is bounded by physical cores: on a 1-CPU container every worker
+// count must take about the same wall-clock.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -338,51 +337,40 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"bench_parallel\",\n";
-    out << "  \"host_cpus\": " << host_cpus << ",\n";
-    out << "  \"undersubscribed\": " << (undersubscribed ? "true" : "false")
-        << ",\n";
-    out << "  \"partitions\": " << kPartitions << ",\n";
-    out << "  \"cluster_nodes\": " << kClusterNodes << ",\n";
-    out << "  \"booster_nodes\": " << kBoosterNodes << ",\n";
-    out << "  \"gateways\": " << kGateways << ",\n";
-    out << "  \"sim_us\": " << (kSimPs / 1'000'000.0) << ",\n";
-    out << "  \"reps\": " << reps << ",\n";
-    out << "  \"deterministic\": " << (deterministic ? "true" : "false")
-        << ",\n";
-    out << "  \"baseline\": {\"speedup_floor\": 3.0, \"gate_workers\": "
-        << kGateWorkers << "},\n";
-    out << "  \"gate_speedup\": " << gate_speedup << ",\n";
-    out << "  \"workloads\": [\n";
-    for (std::size_t wl = 0; wl < workloads.size(); ++wl) {
-      const WorkloadRow& row = workloads[wl];
-      out << "    {\"name\": \"" << pattern_name(row.pattern)
-          << "\", \"speedup_at_gate\": " << row.speedup_at_gate
-          << ", \"runs\": [\n";
+    db::BenchRows rows;
+    auto count = [&](const std::string& name, std::int64_t v, bool indep) {
+      rows.add("sim", name, "count", v, indep);
+    };
+    count("host_cpus", host_cpus, false);
+    rows.add("sim", "undersubscribed", "bool", undersubscribed, false);
+    count("partitions", kPartitions, true);
+    count("cluster_nodes", kClusterNodes, true);
+    count("booster_nodes", kBoosterNodes, true);
+    count("gateways", kGateways, true);
+    rows.add("sim", "sim_us", "us", kSimPs / 1'000'000.0, true);
+    count("reps", reps, true);
+    rows.add("sim", "deterministic", "bool", deterministic, true);
+    rows.add("sim", "gate_speedup", "ratio", gate_speedup, false);
+    for (const WorkloadRow& row : workloads) {
+      const std::string wl = pattern_name(row.pattern);
+      rows.add("sim", wl + ".speedup_at_gate", "ratio", row.speedup_at_gate,
+               false);
       for (std::size_t i = 0; i < row.best.size(); ++i) {
-        out << "      {\"workers\": " << worker_counts[i]
-            << ", \"wall_ms\": " << row.best[i].wall_ms
-            << ", \"speedup\": " << row.best[0].wall_ms / row.best[i].wall_ms
-            << ", \"events\": " << row.best[i].events
-            << ", \"windows\": " << row.best[i].windows << "}"
-            << (i + 1 < row.best.size() ? "," : "") << "\n";
+        const RunResult& r = row.best[i];
+        const std::string run = wl + ".w" + std::to_string(worker_counts[i]);
+        rows.add("sim", run + ".wall_ms", "ms", r.wall_ms, false);
+        rows.add("sim", run + ".speedup", "ratio",
+                 row.best[0].wall_ms / r.wall_ms, false);
+        count(run + ".events", static_cast<std::int64_t>(r.events), true);
+        count(run + ".windows", r.windows, true);
       }
-      out << "    ]}" << (wl + 1 < workloads.size() ? "," : "") << "\n";
     }
-    out << "  ],\n";
-    out << "  \"history\": [],\n";
-    out << "  \"notes\": \"gate_speedup is min over workloads of the "
-           "speedup at gate_workers; scripts/check_bench_parallel.sh "
-           "enforces baseline.speedup_floor unless undersubscribed; "
-           "outcomes (events, final time, sinks) must be identical at "
-           "every worker count\"\n}\n";
-    std::printf("wrote %s\n", json_path.c_str());
+    rows.write("parallel", json_path);
   }
 
   return db::verdict(
       "identical simulation outcomes at every worker count (speedups are "
-      "recorded for scripts/check_bench_parallel.sh, which gates them on "
-      "multi-core hosts)",
+      "recorded for scripts/check_bench.py, which gates them on multi-core "
+      "hosts)",
       deterministic);
 }

@@ -19,15 +19,15 @@
 // be equal, and (being pure virtual-time outputs) equal across hosts, so
 // CI compares it against the checked-in baseline.
 //
-// Prints the table; --json PATH records the machine-readable result
-// (scripts/run_bench_service.sh writes results/BENCH_service.json);
-// --smoke shrinks the job counts for CI. --workers N sizes the pool.
+// Prints the table; --json PATH records the result rows (bench/common.hpp),
+// which `scripts/check_bench.py service` gates against
+// results/BENCH_service.json; --smoke shrinks the job counts for CI.
+// --workers N sizes the pool.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -212,33 +212,26 @@ int main(int argc, char** argv) {
   std::printf("\nhot/cold throughput ratio: %.1fx\n", hot_over_cold);
 
   if (!json_path.empty()) {
-    dsv::Json j = dsv::Json::object();
-    j.set("bench", "service");
-    j.set("smoke", smoke);
-    j.set("workers", workers);
-    j.set("host_cpus",
-          static_cast<std::int64_t>(std::thread::hardware_concurrency()));
-    j.set("probe_spec", probe.to_json());
-    j.set("fingerprint", fingerprint_hash);
-    j.set("fingerprints_equal", fingerprints_equal);
-    j.set("hot_over_cold", hot_over_cold);
-    dsv::Json arr = dsv::Json::array();
+    db::BenchRows rows;
+    rows.add("svc", "smoke", "bool", smoke, true);
+    rows.add("svc", "workers", "count", workers, true);
+    rows.add("svc", "host_cpus", "count",
+             static_cast<std::int64_t>(std::thread::hardware_concurrency()),
+             false);
+    rows.add("svc", "probe_spec", "spec", probe.canonical_key(), true);
+    rows.add("svc", "fingerprint", "hash", fingerprint_hash, true);
+    rows.add("svc", "fingerprints_equal", "bool", fingerprints_equal, true);
+    rows.add("svc", "hot_over_cold", "ratio", hot_over_cold, false);
     for (const ScenarioResult& s : scenarios) {
-      dsv::Json e = dsv::Json::object();
-      e.set("name", s.name);
-      e.set("jobs", s.jobs);
-      e.set("wall_ms", s.wall_ms);
-      e.set("jobs_per_s", s.jobs_per_s);
-      e.set("p50_ms", s.p50_ms);
-      e.set("p99_ms", s.p99_ms);
-      e.set("cache_hits", s.hits);
-      e.set("cache_misses", s.misses);
-      arr.push_back(std::move(e));
+      rows.add("svc", s.name + ".jobs", "count", s.jobs, true);
+      rows.add("svc", s.name + ".wall_ms", "ms", s.wall_ms, false);
+      rows.add("svc", s.name + ".jobs_per_s", "1/s", s.jobs_per_s, false);
+      rows.add("svc", s.name + ".p50_ms", "ms", s.p50_ms, false);
+      rows.add("svc", s.name + ".p99_ms", "ms", s.p99_ms, false);
+      rows.add("svc", s.name + ".cache_hits", "count", s.hits, true);
+      rows.add("svc", s.name + ".cache_misses", "count", s.misses, true);
     }
-    j.set("scenarios", std::move(arr));
-    std::ofstream out(json_path);
-    out << j.dump() << '\n';
-    std::printf("json written to %s\n", json_path.c_str());
+    rows.write("service", json_path);
   }
 
   const bool reproduced = fingerprints_equal && hot_over_cold >= 10.0;

@@ -7,7 +7,7 @@
 // {chaos on/off} — running every cell through the full service session
 // (DeepSystem, gateways, MPI, verification) twice and fingerprinting the
 // outcome.  Everything recorded is virtual-time, so the whole matrix is
-// host-independent: scripts/check_bench_topology.sh gates per-cell
+// host-independent: `scripts/check_bench.py topology` gates per-cell
 // fingerprint equality across runs AND against the checked-in baseline,
 // plus the relative orderings measured by the fabric-level section below:
 //
@@ -21,14 +21,10 @@
 //     where the torus — no path diversity under dimension-ordered routing —
 //     drops on a killed link.
 //
-// Prints the tables; --json PATH records the machine-readable result
-// (scripts/run_bench_topology.sh writes results/BENCH_topology.json).
-// --smoke is accepted for CI symmetry with the other benches: every cell is
-// virtual-time-bound and cheap, so smoke runs use identical parameters and
-// must reproduce the committed fingerprints exactly.
+// Prints the tables; --json PATH records the result rows
+// (bench/common.hpp) that the checker compares with
+// results/BENCH_topology.json.
 
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -249,26 +245,13 @@ FlowResult twice(Fn&& fn, bool& identical) {
   return a;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool csv = db::want_csv(argc, argv);
-  bool smoke = false;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg == "--json" && i + 1 < argc) json_path = argv[++i];
-  }
+  for (int i = 1; i + 1 < argc; ++i)
+    if (std::string(argv[i]) == "--json") json_path = argv[++i];
 
   db::banner(
       "Answer matrix: booster topology x workload x adaptive x chaos "
@@ -362,55 +345,47 @@ int main(int argc, char** argv) {
   const bool torus_drops = torus_chaos.drops > 0;
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"bench_topology\",\n";
-    out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
-    out << "  \"matrix\": {\n";
-    out << "    \"cluster\": " << kCluster << ", \"booster\": " << kBooster
-        << ", \"gateways\": " << kGateways << ", \"procs\": " << kProcs
-        << ", \"steps\": " << kSteps << ", \"seed\": " << kSeed << ",\n";
-    out << "    \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const Cell& c = cells[i];
-      out << "      {\"topology\": \"" << json_escape(c.topology)
-          << "\", \"workload\": \"" << json_escape(c.workload)
-          << "\", \"adaptive\": " << (c.adaptive ? "true" : "false")
-          << ", \"chaos\": " << (c.chaos ? "true" : "false")
-          << ", \"ok\": " << (c.ok ? "true" : "false")
-          << ", \"mpi_errors\": " << c.mpi_errors
-          << ", \"events\": " << c.events << ", \"final_ps\": " << c.final_ps
-          << ", \"fingerprint\": \"" << c.fingerprint
-          << "\", \"runs_identical\": " << (c.runs_identical ? "true" : "false")
-          << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
+    db::BenchRows rows;
+    auto count = [&](const char* layer, const std::string& name,
+                     std::int64_t v) { rows.add(layer, name, "count", v, true); };
+    count("sys", "matrix.cluster", kCluster);
+    count("sys", "matrix.booster", kBooster);
+    count("sys", "matrix.gateways", kGateways);
+    count("sys", "matrix.procs", kProcs);
+    count("sys", "matrix.steps", kSteps);
+    count("sys", "matrix.seed", static_cast<std::int64_t>(kSeed));
+    for (const Cell& c : cells) {
+      const std::string cell = "cell." + c.topology + "." + c.workload +
+                               (c.adaptive ? ".adaptive" : ".static") +
+                               (c.chaos ? ".chaos" : ".clean");
+      rows.add("sys", cell + ".ok", "bool", c.ok, true);
+      count("sys", cell + ".mpi_errors", c.mpi_errors);
+      count("sys", cell + ".events", static_cast<std::int64_t>(c.events));
+      rows.add("sys", cell + ".final_ps", "sim_ps", c.final_ps, true);
+      rows.add("sys", cell + ".fingerprint", "hash", c.fingerprint, true);
+      rows.add("sys", cell + ".runs_identical", "bool", c.runs_identical,
+               true);
     }
-    out << "    ],\n";
-    out << "    \"all_runs_identical\": " << (all_identical ? "true" : "false")
-        << ",\n";
-    out << "    \"clean_cells_ok\": " << (clean_cells_ok ? "true" : "false")
-        << ",\n";
-    out << "    \"deep_adaptive_noop\": "
-        << (deep_adaptive_noop ? "true" : "false") << "\n  },\n";
-    out << "  \"orderings\": {\n";
-    out << "    \"fattree_nonblocking_ps\": " << ft_nonblock.final_ps << ",\n";
-    out << "    \"fattree_oversub_ps\": " << ft_oversub.final_ps << ",\n";
-    out << "    \"fattree_adaptive_ps\": " << ft_adaptive.final_ps << ",\n";
-    out << "    \"dragonfly_minimal_ps\": " << df_minimal.final_ps << ",\n";
-    out << "    \"dragonfly_adaptive_ps\": " << df_adaptive.final_ps << ",\n";
-    out << "    \"dragonfly_adaptive_detours\": " << df_adaptive.detours
-        << ",\n";
-    out << "    \"dragonfly_chaos_drops\": " << df_chaos.drops << ",\n";
-    out << "    \"dragonfly_chaos_detours\": " << df_chaos.detours << ",\n";
-    out << "    \"dragonfly_chaos_delivered\": " << df_chaos.delivered << ",\n";
-    out << "    \"torus_chaos_drops\": " << torus_chaos.drops << ",\n";
-    out << "    \"flows_identical\": " << (flows_identical ? "true" : "false")
-        << "\n  },\n";
-    out << "  \"history\": [],\n";
-    out << "  \"notes\": \"everything recorded is virtual-time and "
-           "host-independent; scripts/check_bench_topology.sh gates per-cell "
-           "fingerprints against this baseline plus the ordering assertions "
-           "(non-blocking <= oversubscribed, adaptive <= static under "
-           "congestion, dragonfly reroutes where the torus drops)\"\n}\n";
-    std::printf("wrote %s\n", json_path.c_str());
+    rows.add("sys", "matrix.all_runs_identical", "bool", all_identical, true);
+    rows.add("sys", "matrix.clean_cells_ok", "bool", clean_cells_ok, true);
+    rows.add("sys", "matrix.deep_adaptive_noop", "bool", deep_adaptive_noop,
+             true);
+    auto ps = [&](const char* name, std::int64_t v) {
+      rows.add("net", std::string("orderings.") + name, "sim_ps", v, true);
+    };
+    ps("fattree_nonblocking_ps", ft_nonblock.final_ps);
+    ps("fattree_oversub_ps", ft_oversub.final_ps);
+    ps("fattree_adaptive_ps", ft_adaptive.final_ps);
+    ps("dragonfly_minimal_ps", df_minimal.final_ps);
+    ps("dragonfly_adaptive_ps", df_adaptive.final_ps);
+    count("net", "orderings.dragonfly_adaptive_detours", df_adaptive.detours);
+    count("net", "orderings.dragonfly_chaos_drops", df_chaos.drops);
+    count("net", "orderings.dragonfly_chaos_detours", df_chaos.detours);
+    count("net", "orderings.dragonfly_chaos_delivered", df_chaos.delivered);
+    count("net", "orderings.torus_chaos_drops", torus_chaos.drops);
+    rows.add("net", "orderings.flows_identical", "bool", flows_identical,
+             true);
+    rows.write("topology", json_path);
   }
 
   return db::verdict(

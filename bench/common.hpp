@@ -7,9 +7,11 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <string>
 
+#include "svc/json.hpp"
 #include "util/csv.hpp"
 
 namespace deep::bench {
@@ -36,5 +38,35 @@ inline int verdict(const std::string& claim, bool reproduced) {
               claim.c_str());
   return reproduced ? 0 : 1;
 }
+
+/// The result schema scripts/check_bench.py gates: {"bench": NAME,
+/// "rows": [{layer, name, unit, value, host_independent}], "history": []}.
+/// A checked-in baseline (results/BENCH_<name>.json) has the same shape plus
+/// its gate rows (layer "gate") and a dated history.
+class BenchRows {
+ public:
+  void add(const char* layer, const std::string& name, const char* unit,
+           svc::Json value, bool host_independent) {
+    svc::Json row = svc::Json::object();
+    row.set("layer", layer);
+    row.set("name", name);
+    row.set("unit", unit);
+    row.set("value", std::move(value));
+    row.set("host_independent", host_independent);
+    rows_.push_back(std::move(row));
+  }
+
+  void write(const std::string& bench, const std::string& path) const {
+    svc::Json doc = svc::Json::object();
+    doc.set("bench", bench);
+    doc.set("rows", rows_);
+    doc.set("history", svc::Json::array());
+    std::ofstream(path) << doc.dump() << '\n';
+    std::printf("wrote %s\n", path.c_str());
+  }
+
+ private:
+  svc::Json rows_ = svc::Json::array();
+};
 
 }  // namespace deep::bench

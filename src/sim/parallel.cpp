@@ -192,10 +192,23 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
     scratch.clear();
   };
 
-  auto sample_queue_depth = [&] {
+  // Records a window's instruments once it ends, however many bounded calls
+  // it took: its event count, its pre-clamp class (solo or not) and the
+  // commit-point queue depth.  Cross events that later calls drained while
+  // the window was open are left out of the depth: an unbounded run drains
+  // them only after the window.  (The serial engine decimates its depth
+  // samples by event count instead; both are deterministic.)
+  ParallelState::OpenWindow& win = par_->window;
+  auto close_window = [&] {
+    m_windows_.add(1);
+    if (win.solo) m_solo_windows_.add(1);
+    m_window_events_.record(
+        static_cast<std::int64_t>(events_executed() - win.events_before));
     std::size_t queued = 0;
     for (std::uint32_t p = 0; p < P; ++p) queued += partition(p).queue.size();
-    m_queue_depth_.set(static_cast<std::int64_t>(queued));
+    m_queue_depth_.set(static_cast<std::int64_t>(queued) - win.drained);
+    win.open = false;
+    win.drained = 0;
   };
 
   auto& next = par_->plan_next;
@@ -214,8 +227,6 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
       // committed order among simultaneous events is a pure function of the
       // simulation — independent of worker interleaving and of which window
       // carried an event across.
-      auto& min_in = par_->plan_min_in;
-      min_in.assign(P, INT64_MAX);
       std::int64_t crossed = 0;
       for (std::uint32_t dst = 0; dst < P; ++dst) {
         Partition& d = partition(dst);
@@ -226,12 +237,12 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
                         "parallel engine: cross-partition event in the past");
             d.queue.push(ev.t, ev.key, EventKind::Callback, nullptr,
                          std::move(ev.fn));
-            if (ev.t.ps < min_in[dst]) min_in[dst] = ev.t.ps;
             ++crossed;
           });
         }
       }
       if (crossed != 0) m_cross_events_.add(crossed);
+      if (win.open) win.drained += crossed;
 
       // First escaped process exception wins, by partition id — a
       // deterministic choice because window contents are deterministic.
@@ -259,6 +270,7 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
         // stream.  An erroring run drops its uncommitted records, like a
         // serial run stopping at a throwing event.
         if (!proc_error) flush_traces(INT64_MAX);
+        if (win.open && !events_remain) close_window();
         stop.store(true, std::memory_order_release);
         sync.arrive_and_wait();
         stopped = true;
@@ -287,52 +299,83 @@ bool Engine::run_windowed(TimePoint limit, bool bounded) {
         }
       }
 
-      std::uint32_t active = 0;
-      std::uint32_t solo = 0;
+      // Horizons, then the clamp of a bounded run, which may cut the window
+      // short.  A cut window stays open: the next call finishes it under the
+      // min of its saved and the recomputed horizons (without outside
+      // schedules the recomputed ones are never smaller; after one, the min
+      // stays safe).  If nothing can run below both and this call's limit,
+      // the window ends where it was cut.
+      auto& lim = par_->plan_lim;
+      lim.assign(P, INT64_MAX);
       for (std::uint32_t p = 0; p < P; ++p) {
-        std::int64_t lim = INT64_MAX;
         for (std::uint32_t s = 0; s < P; ++s) {
           const std::int64_t l = la[static_cast<std::size_t>(s) * P + p];
           if (s == p || l == INT64_MAX || lb[s] == INT64_MAX) continue;
-          lim = std::min(lim, sat_add(lb[s], l));
+          lim[p] = std::min(lim[p], sat_add(lb[s], l));
         }
-        // Bounded runs additionally include events at exactly `limit`
-        // (hence the +1 ps exclusive cap).
-        if (bounded && lim > limit.ps) lim = sat_add(limit.ps, 1);
-        partition(p).limit = TimePoint{lim};
-        if (next[p] < lim) {
+      }
+      // Bounded runs additionally include events at exactly `limit`
+      // (hence the +1 ps exclusive cap).
+      const std::int64_t cap = bounded ? sat_add(limit.ps, 1) : INT64_MAX;
+      if (win.open) {
+        bool stuck = true;
+        for (std::uint32_t p = 0; p < P; ++p)
+          if (next[p] < std::min({lim[p], win.lim[p], cap})) stuck = false;
+        if (stuck) {
+          close_window();
+        } else {
+          for (std::uint32_t p = 0; p < P; ++p)
+            lim[p] = std::min(lim[p], win.lim[p]);
+        }
+      }
+      const bool resumed = win.open;
+      std::uint32_t active = 0;
+      std::uint32_t solo = 0;
+      std::uint32_t unclamped = 0;
+      for (std::uint32_t p = 0; p < P; ++p) {
+        partition(p).limit = TimePoint{std::min(lim[p], cap)};
+        if (next[p] < lim[p]) ++unclamped;
+        if (next[p] < partition(p).limit.ps) {
           ++active;
           solo = p;
         }
       }
       DEEP_ASSERT(active > 0, "parallel engine: no executable partition");
-      m_windows_.add(1);
-      const std::size_t before = events_executed();
+      if (!resumed) {
+        win.solo = unclamped == 1;
+        win.events_before = events_executed();
+      }
 
       if (active == 1) {
         // ---- batched window: a single runnable partition; execute it on
         // the main thread with the workers still parked, skipping both
         // barriers.  Pure function of queue state => worker-independent.
-        m_solo_windows_.add(1);
         exec_partition_window(partition(solo));
-        m_window_events_.record(
-            static_cast<std::int64_t>(events_executed() - before));
-        sample_queue_depth();
-        continue;
+      } else {
+        // ---- execute: all workers, partitions pinned p -> worker p % W ----
+        barrier_wait(0);
+        for (std::uint32_t p = 0; p < P; p += W)
+          exec_partition_window(partition(p));
+        barrier_wait(0);
       }
 
-      // ---- execute: all workers, partitions pinned p -> worker p % W ----
-      barrier_wait(0);
-      for (std::uint32_t p = 0; p < P; p += W)
-        exec_partition_window(partition(p));
-      barrier_wait(0);
-
       // ---- commit: main thread only ----
-      m_window_events_.record(
-          static_cast<std::int64_t>(events_executed() - before));
-      // Commit-point queue-depth sample (the serial engine decimates by
-      // event count instead; both are deterministic).
-      sample_queue_depth();
+      // An unbounded fresh window ends here by construction; any other one
+      // ends once no partition holds an event below its unclamped horizon.
+      bool ends = !bounded && !resumed;
+      if (!ends) {
+        ends = true;
+        for (std::uint32_t p = 0; p < P; ++p) {
+          const auto& q = partition(p).queue;
+          if (!q.empty() && q.next_time().ps < lim[p]) ends = false;
+        }
+      }
+      if (ends) {
+        close_window();
+      } else if (!resumed) {
+        win.open = true;
+        win.lim = lim;
+      }
     }
   } catch (...) {
     fatal = std::current_exception();

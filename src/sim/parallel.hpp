@@ -153,7 +153,17 @@ struct Engine::ParallelState {
   std::vector<std::int64_t> plan_next;  // next event time per partition
   std::vector<std::int64_t> plan_lb;    // emission lower bound per partition
   std::vector<char> plan_done;          // lower bound finalised
-  std::vector<std::int64_t> plan_min_in;  // min incoming event time per dst
+  std::vector<std::int64_t> plan_lim;   // unclamped horizon per partition
+
+  // The window a bounded run (run_until) cut short at its limit; the next
+  // call finishes it, so its instruments record it once (parallel.cpp).
+  struct OpenWindow {
+    bool open = false;
+    bool solo = false;                // one runnable partition before the clamp
+    std::size_t events_before = 0;    // events_executed() when it opened
+    std::int64_t drained = 0;         // cross events drained while open
+    std::vector<std::int64_t> lim;    // its unclamped horizons
+  } window;
 };
 
 }  // namespace deep::sim

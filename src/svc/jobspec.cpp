@@ -1,6 +1,9 @@
 #include "svc/jobspec.hpp"
 
 #include <algorithm>
+#include <climits>
+
+#include "util/lane.hpp"
 
 namespace deep::svc {
 
@@ -20,8 +23,22 @@ bool read_int(const Json& j, const char* key, int& out, Reject& reject) {
     reject = {"bad_spec", key, std::string("'") + key + "' must be an integer"};
     return false;
   }
+  if (v->as_int() < INT_MIN || v->as_int() > INT_MAX) {
+    reject = {"bad_spec", key, std::string("'") + key + "' is out of range"};
+    return false;
+  }
   out = static_cast<int>(v->as_int());
   return true;
+}
+
+/// Fills `reject` when `value` exceeds `max`; `code` is the lower bound's.
+bool within(const char* code, const char* field, int value, int max,
+            Reject& reject) {
+  if (value <= max) return true;
+  reject = {code, field,
+            std::string(field) + " (" + std::to_string(value) +
+                ") exceeds the limit of " + std::to_string(max)};
+  return false;
 }
 
 bool read_bool(const Json& j, const char* key, bool& out, Reject& reject) {
@@ -188,6 +205,10 @@ bool JobSpec::validate(Reject& reject) const {
     reject = {"bad_topology", "gateways", "need at least one gateway"};
     return false;
   }
+  if (!within("bad_topology", "cluster", cluster, kMaxCluster, reject) ||
+      !within("bad_topology", "booster", booster, kMaxBooster, reject) ||
+      !within("bad_topology", "gateways", gateways, kMaxGateways, reject))
+    return false;
   if (procs < 1) {
     reject = {"bad_topology", "procs", "need at least one booster rank"};
     return false;
@@ -202,6 +223,7 @@ bool JobSpec::validate(Reject& reject) const {
     reject = {"bad_spec", "steps", "need at least one step"};
     return false;
   }
+  if (!within("bad_spec", "steps", steps, kMaxSteps, reject)) return false;
   if (workers < 1) {
     reject = {"bad_spec", "workers", "need at least one engine worker"};
     return false;
@@ -210,6 +232,9 @@ bool JobSpec::validate(Reject& reject) const {
     reject = {"bad_topology", "partitions", "need at least one partition"};
     return false;
   }
+  if (!within("bad_topology", "partitions", partitions,
+              static_cast<int>(util::kMaxLanes), reject))
+    return false;
   if (partitions > 1 + booster) {
     reject = {"bad_topology", "partitions",
               "more partitions than booster nodes plus one"};

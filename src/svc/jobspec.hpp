@@ -80,6 +80,16 @@ struct JobSpec {
   std::uint64_t seed = 0;  // folded into the fault spec and the cache key
   SpecFaults faults;
 
+  /// Upper bounds validate() enforces, so an oversized spec ends in a typed
+  /// reject instead of exhausting the host.  They sit well above every
+  /// in-tree job (the largest is perfbench's 128 cluster, 384 booster and
+  /// 8 gateway nodes over 3 steps); partitions are bounded by the engine's
+  /// util::kMaxLanes.
+  static constexpr int kMaxCluster = 1024;
+  static constexpr int kMaxBooster = 2048;
+  static constexpr int kMaxGateways = 64;
+  static constexpr int kMaxSteps = 1000;
+
   /// Parses and validates a spec object ({"workload": ..., ...}).  On
   /// failure `reject` is filled and nullopt returned; never throws.
   static std::optional<JobSpec> from_json(const Json& j, Reject& reject);

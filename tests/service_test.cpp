@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <string>
 #include <thread>
@@ -99,9 +100,21 @@ TEST(ServiceReentrancy, AllWorkloadsRunTwiceIdentically) {
 
 // A front end's drive (the deepsim CLI attaches a tracer and samples
 // metrics between run_until steps) observes the run without changing it.
+// The partitioned spec also pins the windowed engine's window instruments:
+// a step that cuts a window short must not split it in two.
 TEST(Session, SteppedDriveWithTracerKeepsFingerprint) {
-  for (const char* w : {"stencil", "spmv", "nbody", "cholesky"}) {
-    const dsv::JobSpec spec = small_spec(w, 5);
+  std::vector<dsv::JobSpec> specs;
+  for (const char* w : {"stencil", "spmv", "nbody", "cholesky"})
+    specs.push_back(small_spec(w, 5));
+  dsv::JobSpec partitioned;
+  partitioned.workload = "stencil";
+  partitioned.procs = 8;
+  partitioned.partitions = 3;
+  partitioned.workers = 2;
+  specs.push_back(partitioned);
+  for (const dsv::JobSpec& spec : specs) {
+    const std::string w =
+        spec.workload + "/partitions=" + std::to_string(spec.partitions);
     deep::sim::Tracer tracer;
     int steps = 0;
     const dsv::SessionResult stepped =
@@ -305,25 +318,36 @@ TEST(ServiceRejects, DeterministicAndLeakFree) {
   dsv::ServiceConfig cfg;
   cfg.workers = 1;
   dsv::Service service(cfg);
-  const std::vector<std::pair<std::string, std::string>> cases = {
-      {R"({"workload":"warp"})", "bad_workload"},
-      {R"({"booster":0})", "bad_topology"},
-      {R"({"procs":9})", "bad_topology"},
-      {R"({"partitions":99})", "bad_topology"},
+  // {spec text, reject code, field the reject names}.
+  const std::vector<std::array<std::string, 3>> cases = {
+      {R"({"workload":"warp"})", "bad_workload", "workload"},
+      {R"({"booster":0})", "bad_topology", "booster"},
+      {R"({"procs":9})", "bad_topology", "procs"},
+      {R"({"partitions":99})", "bad_topology", "partitions"},
+      // Upper bounds: oversized machines and runs are refused before any
+      // allocation (the booster case would otherwise exhaust the host).
+      {R"({"booster":100,"procs":4,"partitions":70})", "bad_topology",
+       "partitions"},
+      {R"({"booster":50000000})", "bad_topology", "booster"},
+      {R"({"cluster":1025})", "bad_topology", "cluster"},
+      {R"({"gateways":65})", "bad_topology", "gateways"},
+      {R"({"steps":2000000000})", "bad_spec", "steps"},
+      {R"({"booster":4294967298})", "bad_spec", "booster"},
       // Unknown keys: a retired engine field (spelled with a JSON \u
       // escape) and a typo of "booster".
-      {R"({"spec\u0075lation":4})", "bad_spec"},
-      {R"({"boosters":8})", "bad_spec"},
+      {R"({"spec\u0075lation":4})", "bad_spec", "speculation"},
+      {R"({"boosters":8})", "bad_spec", "boosters"},
       {R"({"partitions":2,"faults":{"drop_probability":0.5}})",
-       "faults_with_partitions"},
-      {R"({"workload":)", "bad_json"},
-      {R"(]])", "bad_json"},
+       "faults_with_partitions", "partitions"},
+      {R"({"workload":)", "bad_json", ""},
+      {R"(]])", "bad_json", ""},
   };
-  for (const auto& [text, code] : cases) {
+  for (const auto& [text, code, field] : cases) {
     const dsv::JobResult first = service.run(text);
     const dsv::JobResult second = service.run(text);
     EXPECT_EQ(first.status, "rejected") << text;
     EXPECT_EQ(first.reject.code, code) << text;
+    EXPECT_EQ(first.reject.field, field) << text;
     // Deterministic: identical reject, byte for byte.
     EXPECT_EQ(first.reject.to_json().dump(), second.reject.to_json().dump());
     // Leak-free: no report, no metrics, no key, no partial result.
